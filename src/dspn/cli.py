@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .confidence import ConfidenceConfig, heuristic_confidence
-from .cspn import AffinityStencilField, cspn_refine
+from .cspn import AffinityStencilField, check_kernel_size, cspn_refine
 from .deformable import EmbeddingParams, OffsetEstimatorParams, OffsetField
 from .errors import DspnError, InvalidConfig
 from .gradcheck import (
@@ -92,8 +92,7 @@ class RunConfig:
             raise InvalidConfig(f"refine must be one of {REFINE_KINDS}, got {self.refine!r}")
         if self.replacement not in ("soft", "hard"):
             raise InvalidConfig(f"replacement must be soft or hard, got {self.replacement!r}")
-        if self.kernel_size < 3 or self.kernel_size % 2 == 0:
-            raise InvalidConfig(f"kernel_size must be odd and >= 3, got {self.kernel_size}")
+        check_kernel_size(self.kernel_size)
         if self.iters < 0:
             raise InvalidConfig("iters must be >= 0")
         if self.num_scenes < 1:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfidence, InvalidConfig, InvalidMask, ShapeMismatch
-from .grid import Grid, same_shape
+from .errors import InvalidConfig, ShapeMismatch
+from .grid import Grid, binary_mask, same_shape, unit_confidence
 
 
 @dataclass
@@ -26,18 +26,11 @@ class ConfidenceConfig:
             raise InvalidConfig(f"gamma must be a positive finite number, got {self.gamma}")
 
 
-def _binary_mask(m: Grid) -> np.ndarray:
-    mask = m.channel(0)
-    if not np.all((mask == 0.0) | (mask == 1.0)):
-        raise InvalidMask("mask must contain only 0 and 1")
-    return mask
-
-
 def confidence_target(dstar: Grid, ds: Grid, m: Grid, cfg: ConfidenceConfig) -> Grid:
     """Ground-truth confidence: m * exp(-|D* - Ds| / gamma), zero off-mask."""
     if not (same_shape(dstar, ds) and same_shape(dstar, m)):
         raise ShapeMismatch("confidence_target operands must share one shape")
-    mask = _binary_mask(m)
+    mask = binary_mask(m)
     resid = np.abs(dstar.channel(0) - ds.channel(0))
     return Grid(mask * np.exp(-resid / cfg.gamma))
 
@@ -50,11 +43,7 @@ def soft_replace(H: Grid, Hs: Grid, m: Grid, M: Grid) -> Grid:
     """
     if not (same_shape(H, Hs) and same_shape(H, m) and same_shape(H, M)):
         raise ShapeMismatch("soft_replace operands must share one shape")
-    mask = _binary_mask(m)
-    conf = M.channel(0)
-    if conf.min() < 0.0 or conf.max() > 1.0:
-        raise InvalidConfidence("confidence must lie in [0, 1]")
-    a = (mask * conf)[:, :, np.newaxis]
+    a = (binary_mask(m) * unit_confidence(M))[:, :, np.newaxis]
     return Grid((1.0 - a) * H.data + a * Hs.data)
 
 
@@ -87,7 +76,7 @@ def heuristic_confidence(
     """
     if not same_shape(ds, m):
         raise ShapeMismatch("sparse map and mask must share one shape")
-    mask = _binary_mask(m)
+    mask = binary_mask(m)
     values = ds.channel(0)
     h, w = values.shape
     gmag = None

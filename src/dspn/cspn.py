@@ -12,14 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidAffinity, InvalidConfig, InvalidMask, ShapeMismatch
-from .grid import Grid, same_shape
+from .errors import InvalidAffinity, InvalidConfig, ShapeMismatch
+from .grid import Grid, binary_mask, same_shape
+
+
+def check_kernel_size(kernel_size: int) -> None:
+    """Kernel sizes must be odd and at least 3, so the window has a center pixel."""
+    if kernel_size < 3 or kernel_size % 2 == 0:
+        raise InvalidConfig(f"kernel size must be odd and >= 3, got {kernel_size}")
 
 
 def neighbor_offsets(kernel_size: int) -> np.ndarray:
     """(k*k-1, 2) integer (dx, dy) offsets in raster order, center excluded."""
-    if kernel_size < 3 or kernel_size % 2 == 0:
-        raise InvalidConfig(f"kernel size must be odd and >= 3, got {kernel_size}")
+    check_kernel_size(kernel_size)
     r = kernel_size // 2
     offs = [
         (dx, dy)
@@ -36,8 +41,7 @@ class AffinityStencilField:
     __slots__ = ("kernel_size", "raw")
 
     def __init__(self, kernel_size: int, raw):
-        if kernel_size < 3 or kernel_size % 2 == 0:
-            raise InvalidConfig(f"kernel size must be odd and >= 3, got {kernel_size}")
+        check_kernel_size(kernel_size)
         arr = np.asarray(raw, dtype=np.float64)
         n = kernel_size * kernel_size - 1
         if arr.ndim != 3 or arr.shape[2] != n:
@@ -113,18 +117,11 @@ def cspn_step(H: Grid, stencils: AffinityStencilField) -> Grid:
     return Grid(arr + acc)
 
 
-def _require_binary_mask(m: Grid) -> np.ndarray:
-    mask = m.channel(0)
-    if not np.all((mask == 0.0) | (mask == 1.0)):
-        raise InvalidMask("mask must contain only 0 and 1")
-    return mask
-
-
 def hard_replace(H: Grid, Hs: Grid, m: Grid) -> Grid:
     """Overwrite propagated values with sparse measurements where m == 1."""
     if not (same_shape(H, Hs) and same_shape(H, m)):
         raise ShapeMismatch("hard_replace operands must share one shape")
-    mask = _require_binary_mask(m)
+    mask = binary_mask(m)
     out = np.where(mask[:, :, np.newaxis] == 1.0, Hs.data, H.data)
     return Grid(out)
 

@@ -7,10 +7,15 @@ sampled) displaced position; the self term participates in the softmax, so
 the full weight set is a probability distribution and every step is a convex
 combination.
 
-The numerical core works on scene batches, shape (S, h, w, ...); the public
-grid operations wrap it with S == 1. Affinity depends only on features and
-offsets, both fixed during refinement, so refine computes it once and reuses
-it every iteration.
+The numerical core works on scene batches, shape (S, h, w, ...), and reads
+every sampled value (neighbour features here, depth in each step, their
+gradients in the backward pass) through the one bilinear taps type,
+:class:`dspn.grid.Taps`. The public grid operations wrap the core with
+S == 1, and the per-pixel API (:func:`deformed_neighborhood`,
+:func:`compute_affinity`) is a one-pixel view sharing its displaced-position
+and softmax helpers. Affinity depends only on features and offsets, both
+fixed during refinement, so refine computes it once and reuses it every
+iteration.
 """
 
 from __future__ import annotations
@@ -19,15 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cspn import neighbor_offsets
-from .errors import InvalidConfig, InvalidConfidence, InvalidFeature, InvalidMask, ShapeMismatch
-from .grid import (
-    ContinuousPos,
-    Grid,
-    bilinear_taps,
-    sample_channels_with_taps,
-    same_shape,
-)
+from .cspn import check_kernel_size, neighbor_offsets
+from .errors import InvalidConfig, InvalidFeature, ShapeMismatch
+from .grid import ContinuousPos, Grid, Taps, binary_mask, same_shape, unit_confidence
 
 
 class OffsetField:
@@ -42,8 +41,7 @@ class OffsetField:
     def __init__(self, kernel_size: int, delta):
         arr = np.asarray(delta, dtype=np.float64)
         n = kernel_size * kernel_size - 1
-        if kernel_size < 3 or kernel_size % 2 == 0:
-            raise InvalidConfig(f"kernel size must be odd and >= 3, got {kernel_size}")
+        check_kernel_size(kernel_size)
         if arr.ndim != 4 or arr.shape[2] != n or arr.shape[3] != 2:
             raise ShapeMismatch(f"expected offsets of shape (h, w, {n}, 2), got {arr.shape}")
         if not np.isfinite(arr).all():
@@ -285,123 +283,6 @@ def offset_estimator(F: Grid, params: OffsetEstimatorParams) -> OffsetField:
 
 
 # ---------------------------------------------------------------------------
-# Batched bilinear machinery
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class BatchTaps:
-    """Flattened border-clamped corner indices and fractions for batched
-    (S, h, w, n) sampling positions. Corner indices address the scene stack
-    flattened to (S*h*w,), which keeps every gather a cheap 1-D take."""
-
-    flat00: np.ndarray
-    flat10: np.ndarray
-    flat01: np.ndarray
-    flat11: np.ndarray
-    fx: np.ndarray
-    fy: np.ndarray
-
-
-def _make_taps(pos_x: np.ndarray, pos_y: np.ndarray, width: int, height: int) -> BatchTaps:
-    t = bilinear_taps(pos_x, pos_y, width, height)
-    s = pos_x.shape[0]
-    bidx = (np.arange(s, dtype=np.int64) * height).reshape(s, 1, 1, 1)
-    row0 = (bidx + t.iy0) * width
-    row1 = (bidx + t.iy1) * width
-    return BatchTaps(
-        flat00=row0 + t.ix0, flat10=row0 + t.ix1,
-        flat01=row1 + t.ix0, flat11=row1 + t.ix1,
-        fx=t.fx, fy=t.fy,
-    )
-
-
-def _gather_values(values: np.ndarray, taps: BatchTaps) -> np.ndarray:
-    """Bilinear samples of (S, h, w) values at the taps, hull-clamped."""
-    flat = values.reshape(-1)
-    v00 = np.take(flat, taps.flat00)
-    v10 = np.take(flat, taps.flat10)
-    v01 = np.take(flat, taps.flat01)
-    v11 = np.take(flat, taps.flat11)
-    fx, fy = taps.fx, taps.fy
-    out = (
-        (1.0 - fx) * (1.0 - fy) * v00
-        + fx * (1.0 - fy) * v10
-        + (1.0 - fx) * fy * v01
-        + fx * fy * v11
-    )
-    lo = np.minimum(np.minimum(v00, v10), np.minimum(v01, v11))
-    hi = np.maximum(np.maximum(v00, v10), np.maximum(v01, v11))
-    return np.clip(out, lo, hi)
-
-
-def _gather_feature_corners(values: np.ndarray, taps: BatchTaps):
-    """The four corner feature vectors under each tap; each (S, h, w, n, c)."""
-    flat = values.reshape(-1, values.shape[-1])
-    return (
-        np.take(flat, taps.flat00, axis=0),
-        np.take(flat, taps.flat10, axis=0),
-        np.take(flat, taps.flat01, axis=0),
-        np.take(flat, taps.flat11, axis=0),
-    )
-
-
-def _lerp_corners(corners, taps: BatchTaps) -> np.ndarray:
-    """Bilinear combination of gathered feature corners; (S, h, w, n, c)."""
-    f00, f10, f01, f11 = corners
-    fx = taps.fx[..., np.newaxis]
-    fy = taps.fy[..., np.newaxis]
-    return (
-        (1.0 - fx) * (1.0 - fy) * f00
-        + fx * (1.0 - fy) * f10
-        + (1.0 - fx) * fy * f01
-        + fx * fy * f11
-    )
-
-
-def _value_position_gradient(values: np.ndarray, taps: BatchTaps):
-    """d(sample)/d(position) for (S, h, w) values at the taps."""
-    flat = values.reshape(-1)
-    v00 = np.take(flat, taps.flat00)
-    v10 = np.take(flat, taps.flat10)
-    v01 = np.take(flat, taps.flat01)
-    v11 = np.take(flat, taps.flat11)
-    fx, fy = taps.fx, taps.fy
-    ddx = (1.0 - fy) * (v10 - v00) + fy * (v11 - v01)
-    ddy = (1.0 - fx) * (v01 - v00) + fx * (v11 - v10)
-    return ddx, ddy
-
-
-def _feature_position_dot(corners, taps: BatchTaps, df: np.ndarray):
-    """Contraction of d(feature sample)/d(position) with upstream df.
-
-    Returns (dpos_x, dpos_y), each (S, h, w, n), straight from the cached
-    corner features: no per-channel gradient tensors are materialised.
-    """
-    f00, f10, f01, f11 = corners
-    fx, fy = taps.fx, taps.fy
-    dx0 = (df * (f10 - f00)).sum(axis=-1)
-    dx1 = (df * (f11 - f01)).sum(axis=-1)
-    dy0 = (df * (f01 - f00)).sum(axis=-1)
-    dy1 = (df * (f11 - f10)).sum(axis=-1)
-    return (1.0 - fy) * dx0 + fy * dx1, (1.0 - fx) * dy0 + fx * dy1
-
-
-def _scatter_values(grad: np.ndarray, taps: BatchTaps, s: int, height: int, width: int) -> np.ndarray:
-    """Adjoint of :func:`_gather_values`: accumulate grads into (S, h, w)."""
-    fx, fy = taps.fx, taps.fy
-    w00 = (1.0 - fx) * (1.0 - fy) * grad
-    w10 = fx * (1.0 - fy) * grad
-    w01 = (1.0 - fx) * fy * grad
-    w11 = fx * fy * grad
-    flat = np.concatenate(
-        [taps.flat00.ravel(), taps.flat10.ravel(), taps.flat01.ravel(), taps.flat11.ravel()]
-    )
-    weights = np.concatenate([w00.ravel(), w10.ravel(), w01.ravel(), w11.ravel()])
-    return np.bincount(flat, weights=weights, minlength=s * height * width).reshape(s, height, width)
-
-
-# ---------------------------------------------------------------------------
 # Deformed neighbourhoods and softmax affinity
 # ---------------------------------------------------------------------------
 
@@ -416,55 +297,43 @@ def deformed_neighborhood(x_i, kernel_size: int, offsets: OffsetField) -> list:
             f"kernel size {kernel_size} does not match offset field ({offsets.kernel_size})"
         )
     x, y = int(x_i[0]), int(x_i[1])
-    offs = neighbor_offsets(kernel_size)
-    delta = offsets.delta[y, x]
-    return [
-        ContinuousPos(x + float(offs[j, 0]) + delta[j, 0], y + float(offs[j, 1]) + delta[j, 1])
-        for j in range(offs.shape[0])
-    ]
+    pos_x, pos_y = _displaced_positions(x, y, offsets.delta[y, x], kernel_size)
+    return [ContinuousPos(px, py) for px, py in zip(pos_x, pos_y)]
 
 
 def compute_affinity(F: Grid, emb: EmbeddingParams, x_i, nbrs) -> AffinityWeights:
-    """Scaled-dot-product softmax weights for one pixel and its neighbours.
-
-    Logits are max-shifted before exponentiation; the self term (similarity
-    of the pixel with itself) is part of the normalisation, so all weights
-    are strictly positive and sum to 1 with the self weight included.
-    """
+    """Softmax weights for one pixel and its neighbours: the batched affinity
+    of a one-pixel stack (see :func:`_affinity_at`)."""
     if F.channels != emb.feature_channels:
         raise ShapeMismatch(f"features have {F.channels} channels, embedding expects {emb.feature_channels}")
     if not np.isfinite(F.data).all():
         raise InvalidFeature("feature grid contains NaN or Inf")
     x, y = int(x_i[0]), int(x_i[1])
-    f_c = F.data[y, x, :]
-    scale = np.sqrt(float(emb.feature_channels))
-    q = emb.g_theta @ f_c
-    logits = np.empty(len(nbrs) + 1)
-    for j, p in enumerate(nbrs):
-        taps = bilinear_taps(np.float64(p[0]), np.float64(p[1]), F.width, F.height)
-        f_j = sample_channels_with_taps(F.data, taps)
-        logits[j] = q @ (emb.g_phi @ f_j) / scale
-    logits[-1] = q @ (emb.g_phi @ f_c) / scale
-    e = np.exp(logits - logits.max())
-    w = e / e.sum()
-    return AffinityWeights(neighbor_weights=w[:-1], self_weight=float(w[-1]))
+    pos = np.array([(float(p[0]), float(p[1])) for p in nbrs], dtype=np.float64).reshape(-1, 2)
+    aff = _affinity_at(
+        F.data[np.newaxis], F.data[np.newaxis, y, x], pos[np.newaxis, :, 0], pos[np.newaxis, :, 1], emb
+    )
+    return AffinityWeights(neighbor_weights=aff.w_nb[0], self_weight=float(aff.w_self[0]))
 
 
 @dataclass
 class AffinityState:
-    """Batched affinity weights plus everything the backward pass reuses."""
+    """Batched affinity weights plus everything the backward pass reuses.
 
-    kernel_size: int
+    Leading axes (S, ...) are the scene stack and the pixels of each scene:
+    (S, h, w) for a whole map, (1,) for the per-pixel view.
+    """
+
     scale: float
-    taps: BatchTaps
-    corners: tuple  # four (S, h, w, n, d_F) corner feature gathers
-    f_nb: np.ndarray  # (S, h, w, n, d_F) sampled neighbour features
-    q: np.ndarray  # (S, h, w, d_e)
-    k_nb: np.ndarray  # (S, h, w, n, d_e)
-    k_self: np.ndarray  # (S, h, w, d_e)
-    w_nb: np.ndarray  # (S, h, w, n)
-    w_self: np.ndarray  # (S, h, w)
-    F: np.ndarray  # (S, h, w, d_F)
+    taps: Taps
+    corners: tuple  # four (S, ..., n, d_F) corner feature reads
+    f_nb: np.ndarray  # (S, ..., n, d_F) sampled neighbour features
+    q: np.ndarray  # (S, ..., d_e)
+    k_nb: np.ndarray  # (S, ..., n, d_e)
+    k_self: np.ndarray  # (S, ..., d_e)
+    w_nb: np.ndarray  # (S, ..., n)
+    w_self: np.ndarray  # (S, ...)
+    F: np.ndarray  # (S, ..., d_F) features at the propagating pixels
     emb: EmbeddingParams
 
 
@@ -474,40 +343,55 @@ def _matmul_last(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, x.shape[-1]) @ m.T).reshape(lead + (m.shape[0],))
 
 
-def affinity_forward_batched(F: np.ndarray, delta: np.ndarray, emb: EmbeddingParams, kernel_size: int) -> AffinityState:
-    s, h, w, d_f = F.shape
+def _displaced_positions(x, y, delta: np.ndarray, kernel_size: int):
+    """Sampling positions: pixel (x, y) plus its ring offset plus the learned
+    offset. ``x`` and ``y`` broadcast against ``delta[..., 0]``, whose last
+    axis runs over the k*k-1 neighbours."""
     offs = neighbor_offsets(kernel_size)
-    pos_x = (
-        np.arange(w, dtype=np.float64)[np.newaxis, np.newaxis, :, np.newaxis]
-        + offs[:, 0]
-        + delta[:, :, :, :, 0]
-    )
-    pos_y = (
-        np.arange(h, dtype=np.float64)[np.newaxis, :, np.newaxis, np.newaxis]
-        + offs[:, 1]
-        + delta[:, :, :, :, 1]
-    )
-    taps = _make_taps(pos_x, pos_y, w, h)
-    corners = _gather_feature_corners(F, taps)
-    f_nb = _lerp_corners(corners, taps)
+    return x + offs[:, 0] + delta[..., 0], y + offs[:, 1] + delta[..., 1]
 
-    scale = np.sqrt(float(d_f))
-    q = _matmul_last(F, emb.g_theta)
+
+def _affinity_at(F: np.ndarray, f_self: np.ndarray, pos_x: np.ndarray, pos_y: np.ndarray,
+                 emb: EmbeddingParams) -> AffinityState:
+    """Scaled-dot-product softmax between features ``f_self`` (S, ..., d_F)
+    and the (S, h, w, d_F) stack ``F`` sampled at (S, ..., n) positions.
+
+    Logits are max-shifted before exponentiation; the self term is part of
+    the normalisation, so all weights are strictly positive and sum to 1
+    with the self weight included.
+    """
+    taps = Taps.at(pos_x, pos_y, F.shape[2], F.shape[1])
+    corners = taps.corners(F)
+    f_nb = taps.lerp(corners)
+
+    scale = np.sqrt(float(F.shape[-1]))
+    q = _matmul_last(f_self, emb.g_theta)
     k_nb = _matmul_last(f_nb, emb.g_phi)
-    k_self = _matmul_last(F, emb.g_phi)
+    k_self = _matmul_last(f_self, emb.g_phi)
 
-    logit_nb = (k_nb * q[:, :, :, np.newaxis, :]).sum(axis=4) / scale
-    logit_self = (q * k_self).sum(axis=3) / scale
-    top = np.maximum(logit_nb.max(axis=3), logit_self)
+    logit_nb = (k_nb * q[..., np.newaxis, :]).sum(axis=-1) / scale
+    logit_self = (q * k_self).sum(axis=-1) / scale
+    # the initial value lets a per-pixel call pass an empty neighbour list
+    top = np.maximum(logit_nb.max(axis=-1, initial=-np.inf), logit_self)
     e_nb = np.exp(logit_nb - top[..., np.newaxis])
     e_self = np.exp(logit_self - top)
-    z = e_nb.sum(axis=3) + e_self
-    w_nb = e_nb / z[..., np.newaxis]
-    w_self = e_self / z
+    z = e_nb.sum(axis=-1) + e_self
     return AffinityState(
-        kernel_size=kernel_size, scale=scale, taps=taps, corners=corners, f_nb=f_nb,
-        q=q, k_nb=k_nb, k_self=k_self, w_nb=w_nb, w_self=w_self, F=F, emb=emb,
+        scale=scale, taps=taps, corners=corners, f_nb=f_nb, q=q, k_nb=k_nb, k_self=k_self,
+        w_nb=e_nb / z[..., np.newaxis], w_self=e_self / z, F=f_self, emb=emb,
     )
+
+
+def affinity_forward_batched(F: np.ndarray, delta: np.ndarray, emb: EmbeddingParams, kernel_size: int) -> AffinityState:
+    """Affinity of every pixel of an (S, h, w, d_F) stack under (S, h, w, n, 2) offsets."""
+    h, w = F.shape[1:3]
+    pos_x, pos_y = _displaced_positions(
+        np.arange(w, dtype=np.float64)[np.newaxis, np.newaxis, :, np.newaxis],
+        np.arange(h, dtype=np.float64)[np.newaxis, :, np.newaxis, np.newaxis],
+        delta,
+        kernel_size,
+    )
+    return _affinity_at(F, F, pos_x, pos_y, emb)
 
 
 def affinity_forward(F: np.ndarray, delta: np.ndarray, emb: EmbeddingParams, kernel_size: int) -> AffinityState:
@@ -541,7 +425,7 @@ def dspn_step_forward(h_arr: np.ndarray, aff: AffinityState):
     weight strictly positive the neighbour weights sum to strictly less
     than 1, so the output cannot escape [min, max] of the sampled values.
     """
-    h_nb = _gather_values(h_arr, aff.taps)
+    h_nb = aff.taps.sample(h_arr)
     out = h_arr + np.einsum("shwn,shwn->shw", aff.w_nb, h_nb - h_arr[..., np.newaxis])
     return out, StepRecord(h_in=h_arr, h_nb=h_nb)
 
@@ -610,12 +494,8 @@ def dspn_refine_forward(
     for g in (Ds, m, M):
         if not same_shape(D0, g):
             raise ShapeMismatch("refine operands must share one shape")
-    mask = m.channel(0)
-    if not np.all((mask == 0.0) | (mask == 1.0)):
-        raise InvalidMask("mask must contain only 0 and 1")
-    conf = M.channel(0)
-    if conf.min() < 0.0 or conf.max() > 1.0:
-        raise InvalidConfidence("confidence must lie in [0, 1]")
+    mask = binary_mask(m)
+    conf = unit_confidence(M)
 
     aff = affinity_forward(F.data, offsets.delta, emb, offsets.kernel_size)
     state = refine_forward_batched(

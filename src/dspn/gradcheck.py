@@ -19,9 +19,6 @@ from .deformable import (
     OffsetEstimatorParams,
     OffsetField,
     RefineState,
-    _feature_position_dot,
-    _scatter_values,
-    _value_position_gradient,
     affinity_forward_batched,
     dspn_refine_forward,
     offset_estimator_backward,
@@ -155,7 +152,6 @@ def dspn_backward(grad_out, state: RefineState, detach_weights: bool = False) ->
     squeeze = g.ndim == 2
     if squeeze:
         g = g[np.newaxis]
-    s, height, width = g.shape
 
     dw_nb = np.zeros_like(aff.w_nb)
     dpos_x = np.zeros_like(aff.w_nb)
@@ -167,10 +163,10 @@ def dspn_backward(grad_out, state: RefineState, detach_weights: bool = False) ->
         if not detach_weights:
             dw_nb += g[..., np.newaxis] * (rec.h_nb - rec.h_in[..., np.newaxis])
         gw = g[..., np.newaxis] * aff.w_nb
-        ddx, ddy = _value_position_gradient(rec.h_in, aff.taps)
+        ddx, ddy = aff.taps.position_gradient(aff.taps.corners(rec.h_in))
         dpos_x += gw * ddx
         dpos_y += gw * ddy
-        g = _scatter_values(gw, aff.taps, s, height, width) + g * one_minus_sum
+        g = aff.taps.scatter(gw, g.shape) + g * one_minus_sum
 
     d_theta = np.zeros_like(aff.emb.g_theta)
     d_phi = np.zeros_like(aff.emb.g_phi)
@@ -193,7 +189,7 @@ def dspn_backward(grad_out, state: RefineState, detach_weights: bool = False) ->
             + dk_self.reshape(-1, d_e).T @ aff.F.reshape(-1, d_f)
         )
         df_nb = (dk_nb.reshape(-1, d_e) @ aff.emb.g_phi).reshape(dk_nb.shape[:-1] + (d_f,))
-        dpx, dpy = _feature_position_dot(aff.corners, aff.taps, df_nb)
+        dpx, dpy = aff.taps.position_gradient(aff.corners, df_nb)
         dpos_x += dpx
         dpos_y += dpy
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confidence import ConfidenceConfig, heuristic_confidence
-from .errors import EmptySparse, InvalidSpec
-from .grid import Grid
+from .errors import EmptySparse, InvalidSpec, ShapeMismatch
+from .grid import Grid, binary_mask, same_shape
 
 SCENE_KINDS = ("plane", "step", "slope", "sphere-cap", "composite")
 
@@ -202,7 +202,9 @@ def box_blur3(values: np.ndarray) -> np.ndarray:
 
 def coarse_predict(ds: Grid, m: Grid) -> Grid:
     """Deterministic coarse-depth stand-in: nearest-valid fill, blurred twice."""
-    mask = m.channel(0)
+    if not same_shape(ds, m):
+        raise ShapeMismatch("sparse map and mask must share one shape")
+    mask = binary_mask(m)
     if not mask.any():
         raise EmptySparse("no valid sparse measurements")
     filled = _nearest_valid_fill(ds.channel(0), mask)

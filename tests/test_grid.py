@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dspn import Grid, bilinear_sample
 from dspn.errors import InvalidGrid, InvalidPosition
+from dspn.grid import Taps
 
 from oracles import bilinear_ref
 
@@ -102,3 +105,80 @@ def test_grid_channels_default_single():
     g = Grid(np.ones((4, 4)))
     assert g.channels == 1
     assert g.data.shape == (4, 4, 1)
+
+
+# -- the bilinear taps type -------------------------------------------------
+
+stacks = st.tuples(
+    st.integers(0, 2**32 - 1),  # seed
+    st.integers(1, 3),  # scenes S
+    st.integers(1, 6),  # height
+    st.integers(1, 6),  # width
+    st.integers(1, 12),  # taps per scene
+)
+
+
+def _random_taps(seed, s, h, w, k, margin=2.0):
+    rng = np.random.default_rng(seed)
+    px = rng.uniform(-margin, w - 1 + margin, (s, k))
+    py = rng.uniform(-margin, h - 1 + margin, (s, k))
+    return rng, px, py, Taps.at(px, py, w, h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks)
+def test_taps_scatter_is_adjoint_of_lerp(case):
+    seed, s, h, w, k = case
+    rng, _, _, taps = _random_taps(seed, s, h, w, k)
+    v = rng.uniform(-5.0, 5.0, (s, h, w))
+    g = rng.uniform(-5.0, 5.0, (s, k))
+    lhs = float((taps.lerp(taps.corners(v)) * g).sum())
+    rhs = float((v * taps.scatter(g, v.shape)).sum())
+    scale = float((np.abs(v).max() * np.abs(g).sum()))
+    assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks)
+def test_taps_sample_within_corner_hull(case):
+    seed, s, h, w, k = case
+    rng, px, py, taps = _random_taps(seed, s, h, w, k)
+    v = rng.uniform(-5.0, 5.0, (s, h, w))
+    out = taps.sample(v)
+    x0, y0 = np.floor(px).astype(np.int64), np.floor(py).astype(np.int64)
+    for i in range(s):
+        for j in range(k):
+            corners = [
+                v[i, min(max(y, 0), h - 1), min(max(x, 0), w - 1)]
+                for y in (y0[i, j], y0[i, j] + 1)
+                for x in (x0[i, j], x0[i, j] + 1)
+            ]
+            assert min(corners) <= out[i, j] <= max(corners)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks, st.integers(0, 3))
+def test_taps_position_gradient_matches_central_difference(case, channels):
+    # channels == 0 reads scalar values; otherwise the gradient is contracted
+    # with an upstream vector over the channel axis
+    seed, s, h, w, k = case
+    rng = np.random.default_rng(seed)
+    # off-lattice: fractional parts stay clear of the probe width
+    px = rng.integers(-2, w + 1, (s, k)) + rng.uniform(0.01, 0.99, (s, k))
+    py = rng.integers(-2, h + 1, (s, k)) + rng.uniform(0.01, 0.99, (s, k))
+    shape = (s, h, w) + ((channels,) if channels else ())
+    v = rng.uniform(-5.0, 5.0, shape)
+    up = rng.uniform(-2.0, 2.0, (s, k, channels)) if channels else None
+
+    def read(qx, qy):
+        probe = Taps.at(qx, qy, w, h)
+        out = probe.lerp(probe.corners(v))
+        return out if up is None else (up * out).sum(axis=-1)
+
+    taps = Taps.at(px, py, w, h)
+    ddx, ddy = taps.position_gradient(taps.corners(v), up)
+    eps = 1e-6
+    fd_x = (read(px + eps, py) - read(px - eps, py)) / (2.0 * eps)
+    fd_y = (read(px, py + eps) - read(px, py - eps)) / (2.0 * eps)
+    assert np.abs(ddx - fd_x).max() <= 1e-6
+    assert np.abs(ddy - fd_y).max() <= 1e-6

@@ -10,7 +10,7 @@ from dspn import (
     gen_scene,
     sample_sparse,
 )
-from dspn.errors import EmptySparse, InvalidSpec
+from dspn.errors import EmptySparse, InvalidMask, InvalidSpec, ShapeMismatch
 from dspn.synth import box_blur3, prepare_scene, suite_scene_specs
 
 from oracles import coarse_predict_ref
@@ -131,6 +131,12 @@ class TestCoarse:
     def test_all_invalid_rejected(self):
         with pytest.raises(EmptySparse):
             coarse_predict(Grid.zeros(8, 8), Grid.zeros(8, 8))
+        with pytest.raises(InvalidMask):
+            coarse_predict(Grid.zeros(8, 8), Grid.full(8, 8, 0.5))
+        with pytest.raises(ShapeMismatch):
+            coarse_predict(Grid.zeros(4, 4), Grid.full(5, 5, 1.0))
+        with pytest.raises(ShapeMismatch):
+            coarse_predict(Grid.full(4, 4, 2.0), Grid.full(3, 3, 1.0))
 
     def test_output_within_valid_range(self):
         dstar = gen_scene(SceneSpec("composite", 24, 24, 1.0, 9.0, seed=8))
