@@ -121,7 +121,12 @@ def _merge(cfg: RunConfig, key: str, value):
         for k, v in value.items():
             _merge(cfg, f"{key}.{k}", v)
         return
-    setattr(target, leaf, type(current)(value) if current is not None and not isinstance(current, dict) else value)
+    if current is not None and not isinstance(current, dict):
+        try:
+            value = type(current)(value)
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfig(f"bad value {value!r} for config key {key!r}") from exc
+    setattr(target, leaf, value)
 
 
 def load_config(path: str | None, overrides) -> RunConfig:

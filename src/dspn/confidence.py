@@ -74,8 +74,8 @@ def heuristic_confidence(
     with no neighbours at all keeps full confidence, since there is no
     evidence against it. Invalid pixels get 0.
     """
-    if not same_shape(ds, m):
-        raise ShapeMismatch("sparse map and mask must share one shape")
+    if not same_shape(ds, m) or (coarse is not None and not same_shape(ds, coarse)):
+        raise ShapeMismatch("sparse map, mask and coarse map must share one shape")
     mask = binary_mask(m)
     values = ds.channel(0)
     h, w = values.shape
@@ -87,27 +87,48 @@ def heuristic_confidence(
         ) / 2.0
     out = np.zeros((h, w))
     ys, xs = np.nonzero(mask)
-    for y, x in zip(ys, xs):
-        found = None
-        for r in range(1, max_radius + 1):
-            y0, y1 = max(0, y - r), min(h, y + r + 1)
-            x0, x1 = max(0, x - r), min(w, x + r + 1)
-            win_mask = mask[y0:y1, x0:x1].copy()
-            win_mask[y - y0, x - x0] = 0.0
-            if win_mask.sum() >= min_neighbors or r == max_radius:
-                if win_mask.sum() > 0:
-                    yy, xx = np.nonzero(win_mask)
-                    nb = values[y0:y1, x0:x1][yy, xx]
-                    dist = np.sqrt((yy + y0 - y) ** 2.0 + (xx + x0 - x) ** 2.0)
-                    found = (nb, dist)
-                break
-        if found is None:
-            out[y, x] = 1.0
-            continue
-        nb, dist = found
-        slack = agreement_slack
-        if gmag is not None:
-            slack = slack + gradient_slack * gmag[y, x] * dist
-        score = (np.abs(nb - values[y, x]) - slack).min()
-        out[y, x] = np.exp(-max(score, 0.0) / cfg.gamma)
+
+    # window radius per measurement: the neighbour count of every clipped
+    # window comes from one integral image, smallest sufficient radius wins
+    integral = np.zeros((h + 1, w + 1), dtype=np.int64)
+    integral[1:, 1:] = mask.astype(np.int64).cumsum(axis=0).cumsum(axis=1)
+    radius = np.full(ys.size, max_radius)
+    count = np.zeros(ys.size, dtype=np.int64)
+    for r in range(max_radius, 0, -1):
+        y0, y1 = np.maximum(ys - r, 0), np.minimum(ys + r + 1, h)
+        x0, x1 = np.maximum(xs - r, 0), np.minimum(xs + r + 1, w)
+        c = integral[y1, x1] - integral[y0, x1] - integral[y1, x0] + integral[y0, x0] - 1
+        stop = (c >= min_neighbors) | (r == max_radius)
+        radius[stop] = r
+        count[stop] = c[stop]
+    isolated = count == 0
+    out[ys[isolated], xs[isolated]] = 1.0
+
+    # best-match score: a running minimum over the window offsets, ring by
+    # ring; sorted by radius, the measurements whose window reaches a ring
+    # are a prefix
+    order = np.argsort(-radius[~isolated], kind="stable")
+    ys, xs, radius = ys[~isolated][order], xs[~isolated][order], radius[~isolated][order]
+    pad = max(max_radius, 0)
+    padded_mask = np.pad(mask, pad).ravel()
+    padded_values = np.pad(values, pad).ravel()
+    stride = w + 2 * pad
+    centre = (ys + pad) * stride + xs + pad
+    own = values[ys, xs]
+    grad_slack = None if gmag is None else gradient_slack * gmag[ys, xs]
+    score = np.full(ys.size, np.inf)
+    for ring in range(1, max_radius + 1):
+        k = np.count_nonzero(radius >= ring)
+        for dy in range(-ring, ring + 1):
+            for dx in range(-ring, ring + 1):
+                if max(abs(dy), abs(dx)) != ring:
+                    continue
+                nb = centre[:k] + (dy * stride + dx)
+                hit = np.flatnonzero(padded_mask[nb] == 1.0)
+                slack = agreement_slack
+                if grad_slack is not None:
+                    slack = agreement_slack + grad_slack[hit] * np.sqrt(dy**2.0 + dx**2.0)
+                term = np.abs(padded_values[nb[hit]] - own[hit]) - slack
+                score[hit] = np.minimum(score[hit], term)
+    out[ys, xs] = np.exp(-np.maximum(score, 0.0) / cfg.gamma)
     return Grid(out)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .cspn import check_kernel_size, neighbor_offsets
 from .errors import InvalidConfig, InvalidFeature, ShapeMismatch
-from .grid import ContinuousPos, Grid, Taps, binary_mask, same_shape, unit_confidence
+from .grid import ContinuousPos, Grid, Taps, binary_mask, pixel_index, same_shape, unit_confidence
 
 
 class OffsetField:
@@ -296,7 +296,7 @@ def deformed_neighborhood(x_i, kernel_size: int, offsets: OffsetField) -> list:
         raise ShapeMismatch(
             f"kernel size {kernel_size} does not match offset field ({offsets.kernel_size})"
         )
-    x, y = int(x_i[0]), int(x_i[1])
+    x, y = pixel_index(x_i, offsets.delta.shape[1], offsets.delta.shape[0])
     pos_x, pos_y = _displaced_positions(x, y, offsets.delta[y, x], kernel_size)
     return [ContinuousPos(px, py) for px, py in zip(pos_x, pos_y)]
 
@@ -308,7 +308,7 @@ def compute_affinity(F: Grid, emb: EmbeddingParams, x_i, nbrs) -> AffinityWeight
         raise ShapeMismatch(f"features have {F.channels} channels, embedding expects {emb.feature_channels}")
     if not np.isfinite(F.data).all():
         raise InvalidFeature("feature grid contains NaN or Inf")
-    x, y = int(x_i[0]), int(x_i[1])
+    x, y = pixel_index(x_i, F.width, F.height)
     pos = np.array([(float(p[0]), float(p[1])) for p in nbrs], dtype=np.float64).reshape(-1, 2)
     aff = _affinity_at(
         F.data[np.newaxis], F.data[np.newaxis, y, x], pos[np.newaxis, :, 0], pos[np.newaxis, :, 1], emb

@@ -10,7 +10,7 @@ class InvalidGrid(DspnError):
 
 
 class InvalidPosition(DspnError):
-    """Sampling position has non-finite coordinates."""
+    """Sampling position is non-finite, or a pixel index lies outside its grid."""
 
 
 class ShapeMismatch(DspnError):

@@ -89,6 +89,14 @@ def binary_mask(m: Grid) -> np.ndarray:
     return mask
 
 
+def pixel_index(x_i, width: int, height: int) -> tuple:
+    """Integer (x, y) of a pixel, which must lie inside a width x height grid."""
+    x, y = int(x_i[0]), int(x_i[1])
+    if not (0 <= x < width and 0 <= y < height):
+        raise InvalidPosition(f"pixel ({x}, {y}) lies outside the {width}x{height} grid")
+    return x, y
+
+
 def unit_confidence(M: Grid) -> np.ndarray:
     """Channel 0 of a confidence grid, which must lie in [0, 1]."""
     conf = M.channel(0)

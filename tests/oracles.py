@@ -152,6 +152,57 @@ def nearest_fill_ref(values, mask):
     return out
 
 
+def heuristic_confidence_ref(
+    values, mask, gamma, coarse=None, min_neighbors=3, max_radius=8,
+    agreement_slack=0.12, gradient_slack=1.0,
+):
+    """Per-measurement growing-window best-match confidence.
+
+    For each valid pixel the Chebyshev window grows from radius 1 until it
+    holds ``min_neighbors`` other valid pixels, or reaches ``max_radius``.
+    The score is the smallest ``|Ds_j - Ds| - slack_j`` over that window,
+    with ``slack_j = agreement_slack + gradient_slack * |grad coarse| * dist_j``
+    when a coarse map is given; confidence is ``exp(-max(score, 0) / gamma)``.
+    A measurement with no neighbour in its final window scores 1, an invalid
+    pixel 0. ``numpy.exp`` stands in for the exponential so the last bit
+    agrees with the vectorised code, whose arithmetic is otherwise the same.
+    """
+    h, w = values.shape
+    out = np.zeros_like(values)
+    for y in range(h):
+        for x in range(w):
+            if mask[y, x] != 1.0:
+                continue
+            window = []
+            for r in range(1, max_radius + 1):
+                window = [
+                    (yy, xx)
+                    for yy in range(max(0, y - r), min(h, y + r + 1))
+                    for xx in range(max(0, x - r), min(w, x + r + 1))
+                    if (yy, xx) != (y, x) and mask[yy, xx] == 1.0
+                ]
+                if len(window) >= min_neighbors:
+                    break
+            if not window:
+                out[y, x] = 1.0
+                continue
+            grad = 0.0
+            if coarse is not None:
+                dx = coarse[y, clamp(x + 1, 0, w - 1)] - coarse[y, clamp(x - 1, 0, w - 1)]
+                dy = coarse[clamp(y + 1, 0, h - 1), x] - coarse[clamp(y - 1, 0, h - 1), x]
+                grad = (abs(dx) + abs(dy)) / 2.0
+            best = None
+            for yy, xx in window:
+                slack = agreement_slack
+                if coarse is not None:
+                    dist = math.sqrt(float(yy - y) ** 2 + float(xx - x) ** 2)
+                    slack = agreement_slack + gradient_slack * grad * dist
+                score = abs(values[yy, xx] - values[y, x]) - slack
+                best = score if best is None else min(best, score)
+            out[y, x] = float(np.exp(-max(best, 0.0) / gamma))
+    return out
+
+
 def box_blur3_ref(values):
     h, w = values.shape
     out = np.zeros_like(values)

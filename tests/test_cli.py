@@ -38,6 +38,16 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             load_config(None, ["refine=fancy"])
 
+    @pytest.mark.parametrize("override", ["gamma=abc", "iters=[1]", "scene.width={}"])
+    def test_unparsable_value_rejected(self, override):
+        with pytest.raises(InvalidConfig):
+            load_config(None, [override])
+
+    def test_main_reports_unparsable_value(self, capsys):
+        rc = main(["eval", "--set", "gamma=abc"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_main_reports_config_errors(self, capsys):
         rc = main(["eval", "--set", "refine=fancy"])
         assert rc == 2
@@ -54,6 +64,15 @@ def small_args(tmp_path, extra=()):
         "--set", "iters=3",
         *extra,
     ]
+
+
+def _env_with_src():
+    """The environment with this checkout's ``src`` first on PYTHONPATH, so a
+    subprocess imports ``dspn`` whether or not the package is installed."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 class TestModes:
@@ -142,6 +161,6 @@ class TestModes:
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "dspn.cli", "generate", *small_args(tmp_path)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_env_with_src(),
         )
         assert proc.returncode == 0, proc.stderr

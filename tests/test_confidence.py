@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dspn import ConfidenceConfig, Grid, confidence_target, hard_replace, heuristic_confidence, soft_replace
-from dspn.errors import InvalidConfidence, InvalidConfig, InvalidMask
+from dspn.errors import InvalidConfidence, InvalidConfig, InvalidMask, ShapeMismatch
 
-from oracles import soft_replace_ref
+from oracles import heuristic_confidence_ref, soft_replace_ref
 
 
 class TestTarget:
@@ -128,3 +130,99 @@ class TestHeuristic:
         mask[3, 3] = 1.0
         out = heuristic_confidence(Grid(vals), Grid(mask), ConfidenceConfig(0.1)).channel(0)
         assert out[3, 3] == 1.0
+
+    def test_mismatched_shapes_rejected(self):
+        g = Grid.full(6, 6, 1.0)
+        with pytest.raises(ShapeMismatch):
+            heuristic_confidence(g, Grid.full(5, 6, 1.0), ConfidenceConfig(0.1))
+        for coarse in (Grid.full(4, 4, 2.0), Grid.full(8, 8, 2.0)):
+            with pytest.raises(ShapeMismatch):
+                heuristic_confidence(g, g, ConfidenceConfig(0.1), coarse=coarse)
+
+
+def _sparse(rng, h, w, density):
+    mask = (rng.random((h, w)) < density).astype(np.float64)
+    vals = np.where(mask == 1.0, rng.uniform(1.0, 10.0, (h, w)), 0.0)
+    return vals, mask
+
+
+def _assert_matches_ref(vals, mask, gamma=0.1, coarse=None, **kw):
+    out = heuristic_confidence(
+        Grid(vals), Grid(mask), ConfidenceConfig(gamma),
+        coarse=None if coarse is None else Grid(coarse), **kw,
+    ).channel(0)
+    ref = heuristic_confidence_ref(vals, mask, gamma, coarse=coarse, **kw)
+    assert np.array_equal(out, ref)
+    return out
+
+
+class TestHeuristicOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_without_coarse(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        vals, mask = _sparse(rng, 14, 17, 0.15)
+        _assert_matches_ref(vals, mask)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_with_coarse(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        vals, mask = _sparse(rng, 15, 13, 0.2)
+        coarse = rng.uniform(1.0, 10.0, (15, 13))
+        _assert_matches_ref(vals, mask, gamma=0.3, coarse=coarse)
+
+    def test_border_measurements(self):
+        # every measurement sits on the border, so every window is clipped
+        rng = np.random.default_rng(5)
+        vals = rng.uniform(1.0, 10.0, (9, 11))
+        mask = np.zeros((9, 11))
+        mask[0, :] = mask[-1, :] = mask[:, 0] = mask[:, -1] = 1.0
+        vals = np.where(mask == 1.0, vals, 0.0)
+        _assert_matches_ref(vals, mask)
+        _assert_matches_ref(vals, mask, coarse=rng.uniform(1.0, 10.0, (9, 11)))
+
+    def test_max_radius_fallback(self):
+        # two measurements 3 apart: with max_radius 3 neither finds
+        # min_neighbors, so each is scored against the other at r == 3
+        vals = np.zeros((8, 8))
+        mask = np.zeros((8, 8))
+        vals[2, 2], vals[2, 5] = 4.0, 4.5
+        mask[2, 2] = mask[2, 5] = 1.0
+        out = _assert_matches_ref(vals, mask, max_radius=3)
+        assert 0.0 < out[2, 2] < 1.0 and out[2, 2] == out[2, 5]
+        # at max_radius 2 they cannot see each other: both isolated
+        out = _assert_matches_ref(vals, mask, max_radius=2)
+        assert out[2, 2] == 1.0 and out[2, 5] == 1.0
+
+    @pytest.mark.parametrize("min_neighbors", [0, 1, 5])
+    def test_non_default_min_neighbors(self, min_neighbors):
+        rng = np.random.default_rng(7)
+        vals, mask = _sparse(rng, 12, 12, 0.25)
+        coarse = rng.uniform(1.0, 10.0, (12, 12))
+        _assert_matches_ref(vals, mask, min_neighbors=min_neighbors, max_radius=4)
+        _assert_matches_ref(vals, mask, coarse=coarse, min_neighbors=min_neighbors, max_radius=4)
+
+    def test_isolated_and_invalid(self):
+        vals = np.zeros((6, 6))
+        mask = np.zeros((6, 6))
+        vals[0, 0], mask[0, 0] = 3.0, 1.0
+        out = _assert_matches_ref(vals, mask)
+        assert out[0, 0] == 1.0
+        assert np.all(out[mask == 0.0] == 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        density=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        min_neighbors=st.integers(0, 4),
+        max_radius=st.integers(0, 4),
+        with_coarse=st.booleans(),
+    )
+    def test_property_matches_ref(self, h, w, density, seed, min_neighbors, max_radius, with_coarse):
+        rng = np.random.default_rng(seed)
+        vals, mask = _sparse(rng, h, w, density)
+        coarse = rng.uniform(1.0, 10.0, (h, w)) if with_coarse else None
+        _assert_matches_ref(
+            vals, mask, coarse=coarse, min_neighbors=min_neighbors, max_radius=max_radius
+        )

@@ -15,7 +15,7 @@ from dspn import (
     offset_estimator,
 )
 from dspn.deformable import affinity_forward
-from dspn.errors import ShapeMismatch
+from dspn.errors import InvalidPosition, ShapeMismatch
 
 from oracles import affinity_ref, dspn_refine_ref, dspn_step_ref, ring_offsets
 
@@ -106,6 +106,16 @@ class TestAffinity:
         )
         assert np.abs(w.neighbor_weights - np.asarray(naive_w)).max() <= 1e-12
         assert abs(w.self_weight - naive_self) <= 1e-12
+
+    @pytest.mark.parametrize("pixel", [(-1, 0), (0, -1), (9, 0), (0, 4), (4, 0)])
+    def test_pixel_outside_grid_rejected(self, pixel):
+        # a negative index must not wrap round to the far border
+        _, features, offsets, emb, _ = rand_setup(0, h=4, w=4)
+        with pytest.raises(InvalidPosition):
+            deformed_neighborhood(pixel, 3, offsets)
+        nbrs = deformed_neighborhood((1, 1), 3, offsets)
+        with pytest.raises(InvalidPosition):
+            compute_affinity(features, emb, pixel, nbrs)
 
 
 class TestStep:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dspn import (
     Grid,
@@ -11,9 +13,9 @@ from dspn import (
     sample_sparse,
 )
 from dspn.errors import EmptySparse, InvalidMask, InvalidSpec, ShapeMismatch
-from dspn.synth import box_blur3, prepare_scene, suite_scene_specs
+from dspn.synth import _nearest_valid_fill, box_blur3, prepare_scene, suite_scene_specs
 
-from oracles import coarse_predict_ref
+from oracles import coarse_predict_ref, nearest_fill_ref
 
 
 class TestScenes:
@@ -145,6 +147,88 @@ class TestCoarse:
         valid = ds.channel(0)[m.channel(0) == 1.0]
         assert d0.min() >= valid.min() - 1e-12
         assert d0.max() <= valid.max() + 1e-12
+
+
+def _assert_fill_matches_ref(mask):
+    # every pixel holds its own value, so picking the wrong one of two tied
+    # valid pixels changes the output
+    mask = np.asarray(mask, dtype=np.float64)
+    vals = np.arange(1.0, mask.size + 1.0).reshape(mask.shape)
+    ds = np.where(mask == 1.0, vals, 0.0)
+    assert np.array_equal(_nearest_valid_fill(ds, mask), nearest_fill_ref(ds, mask))
+
+
+def _mask_with(h, w, points):
+    mask = np.zeros((h, w))
+    for y, x in points:
+        mask[y, x] = 1.0
+    return mask
+
+
+class TestNearestFill:
+    @pytest.mark.parametrize("stride", [2, 3, 4])
+    @pytest.mark.parametrize("phase", [(0, 0), (1, 0), (1, 2)])
+    def test_lattice(self, stride, phase):
+        mask = np.zeros((13, 11))
+        mask[phase[0] % stride :: stride, phase[1] % stride :: stride] = 1.0
+        _assert_fill_matches_ref(mask)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(4, 1), (4, 7)],  # horizontal pair: column 4 is equidistant
+            [(1, 4), (7, 4)],  # vertical pair: row 4 is equidistant
+            [(2, 2), (6, 6)],  # diagonal pair
+            [(2, 6), (6, 2)],  # anti-diagonal pair
+            [(2, 2), (2, 6), (6, 2), (6, 6)],  # four-way tie at the centre
+            [(0, 4), (4, 0), (4, 8), (8, 4)],  # ties along both diagonals
+        ],
+    )
+    def test_symmetric_pairs(self, points):
+        _assert_fill_matches_ref(_mask_with(9, 9, points))
+
+    @pytest.mark.parametrize("shape", [(7, 9), (8, 8), (9, 7), (2, 2)])
+    def test_one_pixel_per_corner(self, shape):
+        h, w = shape
+        _assert_fill_matches_ref(_mask_with(h, w, [(0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1)]))
+
+    @pytest.mark.parametrize("points", [[(0, 3)], [(0, 0), (0, 8)], [(0, 2), (0, 4), (0, 5)]])
+    def test_single_row(self, points):
+        _assert_fill_matches_ref(_mask_with(1, 9, points))
+
+    @pytest.mark.parametrize("points", [[(3, 0)], [(0, 0), (8, 0)], [(2, 0), (4, 0), (5, 0)]])
+    def test_single_column(self, points):
+        _assert_fill_matches_ref(_mask_with(9, 1, points))
+
+    def test_single_pixel_grid(self):
+        _assert_fill_matches_ref(np.ones((1, 1)))
+
+    def test_full_mask(self):
+        _assert_fill_matches_ref(np.ones((6, 7)))
+
+    def test_empty_columns(self):
+        mask = _mask_with(8, 12, [(0, 4), (7, 4), (3, 5), (5, 7), (2, 7)])
+        _assert_fill_matches_ref(mask)
+        alternate = np.zeros((7, 10))
+        alternate[::2, 1::2] = 1.0
+        _assert_fill_matches_ref(alternate)
+        edge = np.zeros((6, 9))
+        edge[:, 8] = 1.0
+        _assert_fill_matches_ref(edge)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        h=st.integers(1, 10),
+        w=st.integers(1, 10),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_random_masks(self, h, w, density, seed):
+        rng = np.random.default_rng(seed)
+        mask = (rng.random((h, w)) < density).astype(np.float64)
+        if not mask.any():
+            mask[rng.integers(h), rng.integers(w)] = 1.0
+        _assert_fill_matches_ref(mask)
 
 
 class TestFeatures:
