@@ -33,7 +33,7 @@ from .gradcheck import (
 )
 from .grid import ContinuousPos, Grid, bilinear_sample
 from .io import read_grd, read_pgm16, write_grd, write_pgm16
-from .metrics import LossWeights, MetricReport, eval_metrics, l2_loss, total_loss
+from .metrics import LossWeights, MetricReport, eval_metrics
 from .synth import (
     Scene,
     SceneSpec,
@@ -79,7 +79,6 @@ __all__ = [
     "gen_scene",
     "hard_replace",
     "heuristic_confidence",
-    "l2_loss",
     "neighbor_offsets",
     "normalize_stencil",
     "offset_estimator",
@@ -88,7 +87,6 @@ __all__ = [
     "read_pgm16",
     "sample_sparse",
     "soft_replace",
-    "total_loss",
     "toy_fit",
     "write_grd",
     "write_pgm16",

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,13 +23,12 @@ import numpy as np
 
 from .confidence import ConfidenceConfig, heuristic_confidence
 from .cspn import AffinityStencilField, check_kernel_size, cspn_refine
-from .deformable import EmbeddingParams, OffsetEstimatorParams, OffsetField
+from .deformable import EmbeddingParams, OffsetEstimatorParams, OffsetField, dspn_refine, offset_estimator
 from .errors import DspnError, InvalidConfig
 from .gradcheck import (
     FitParams,
     check_instance_gradients,
     make_gradcheck_instance,
-    scene_refined,
     toy_fit,
 )
 from .grid import Grid
@@ -53,13 +53,23 @@ class TrainConfig:
     steps: int = 40
     lr: float = 3.0
     iters: int = 6
-    mode: str = "estimator"  # estimator | direct
 
-    def validate(self):
-        if self.mode not in ("estimator", "direct"):
-            raise InvalidConfig(f"train.mode must be estimator or direct, got {self.mode!r}")
-        if self.steps < 0:
-            raise InvalidConfig("train.steps must be >= 0")
+    def __post_init__(self):
+        for name in ("steps", "lr", "iters"):
+            if getattr(self, name) < 0:
+                raise InvalidConfig(f"train.{name} must be >= 0, got {getattr(self, name)}")
+
+
+@dataclass
+class InputsConfig:
+    """Sensor files for ``complete`` (.pgm or .grd); empty means generate a scene."""
+
+    sparse: str = ""
+    gt: str = ""
+
+    def __post_init__(self):
+        if self.gt and not self.sparse:
+            raise InvalidConfig("inputs.gt needs inputs.sparse")
 
 
 @dataclass
@@ -80,12 +90,12 @@ class RunConfig:
     seed: int = 7
     train: TrainConfig = field(default_factory=TrainConfig)
     out_dir: str = "out"
-    inputs: dict = field(default_factory=dict)
+    inputs: InputsConfig = field(default_factory=InputsConfig)
     gradcheck_instances: int = 20
     gradcheck_eps: float = 1e-4
     gradcheck_tol: float = 1e-4
 
-    def validate(self):
+    def __post_init__(self):
         if self.mode not in MODES:
             raise InvalidConfig(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.refine not in REFINE_KINDS:
@@ -93,50 +103,77 @@ class RunConfig:
         if self.replacement not in ("soft", "hard"):
             raise InvalidConfig(f"replacement must be soft or hard, got {self.replacement!r}")
         check_kernel_size(self.kernel_size)
-        if self.iters < 0:
-            raise InvalidConfig("iters must be >= 0")
-        if self.num_scenes < 1:
-            raise InvalidConfig("num_scenes must be >= 1")
-        if self.gamma <= 0.0:
-            raise InvalidConfig("gamma must be positive")
-        self.train.validate()
+        ConfidenceConfig(self.gamma)
+        for name, low in (("iters", 0), ("seed", 0), ("num_scenes", 1), ("feature_channels", 1),
+                          ("embed_dim", 1), ("hidden_channels", 1), ("gradcheck_instances", 1)):
+            if getattr(self, name) < low:
+                raise InvalidConfig(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not (np.isfinite(self.gradcheck_tol) and self.gradcheck_tol >= 0.0):
+            raise InvalidConfig(f"gradcheck_tol must be finite and >= 0, got {self.gradcheck_tol}")
 
 
-def _merge(cfg: RunConfig, key: str, value):
-    """Apply one dotted-key override onto the config dataclasses."""
-    parts = key.split(".")
-    target = cfg
-    for part in parts[:-1]:
-        if not hasattr(target, part):
-            raise InvalidConfig(f"unknown config key {key!r}")
-        target = getattr(target, part)
-    leaf = parts[-1]
-    if isinstance(target, dict):
-        target[leaf] = value
+_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _field_value(kind, value, key: str):
+    """Check one leaf value against its field's type; sections recurse."""
+    if dataclasses.is_dataclass(kind):
+        return build_config(kind, value, key + ".")
+    if kind is float and type(value) is int:
+        value = float(value)
+    if kind is int and type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not kind or (kind is float and not np.isfinite(value)):
+        raise InvalidConfig(f"config key {key!r} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def build_config(cls, doc, prefix: str = ""):
+    """Construct config dataclass ``cls`` from a nested dict, every section
+    through its own constructor, so each range rule runs where it is
+    defined. Unknown keys and values of the wrong type raise InvalidConfig."""
+    if not isinstance(doc, dict):
+        raise InvalidConfig(f"config section {prefix[:-1] or 'root'!r} must be an object, got {doc!r}")
+    kinds = typing.get_type_hints(cls)
+    for key in doc:
+        if key not in kinds:
+            raise InvalidConfig(f"unknown config key {prefix + key!r}")
+    try:
+        return cls(**{key: _field_value(kinds[key], value, prefix + key) for key, value in doc.items()})
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidConfig(f"bad config section {prefix[:-1] or 'root'!r}: {exc}") from exc
+
+
+def _fold(doc: dict, key: str, value) -> None:
+    """Set one dotted key in a nested dict; a dict value merges key by key."""
+    *sections, leaf = key.split(".")
+    for section in sections:
+        doc = doc.setdefault(section, {})
+        if not isinstance(doc, dict):
+            raise InvalidConfig(f"config key {key!r} lies under a value that is not a section")
+    if not isinstance(value, dict):
+        doc[leaf] = value
         return
-    if not hasattr(target, leaf):
-        raise InvalidConfig(f"unknown config key {key!r}")
-    current = getattr(target, leaf)
-    if dataclasses.is_dataclass(current) and isinstance(value, dict):
-        for k, v in value.items():
-            _merge(cfg, f"{key}.{k}", v)
-        return
-    if current is not None and not isinstance(current, dict):
-        try:
-            value = type(current)(value)
-        except (TypeError, ValueError) as exc:
-            raise InvalidConfig(f"bad value {value!r} for config key {key!r}") from exc
-    setattr(target, leaf, value)
+    if not isinstance(doc.get(leaf), dict):
+        doc[leaf] = {}
+    for k, v in value.items():
+        _fold(doc[leaf], k, v)
 
 
 def load_config(path: str | None, overrides) -> RunConfig:
-    cfg = RunConfig()
+    """The JSON file at ``path`` (if any), then each ``key=value`` override
+    (value parsed as JSON, else taken as a string), built into a RunConfig."""
     doc = {}
     if path:
         with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    for key, value in doc.items():
-        _merge(cfg, key, value)
+            try:
+                file_doc = json.load(f)
+            except ValueError as exc:
+                raise InvalidConfig(f"{path}: not a JSON document: {exc}") from exc
+        if not isinstance(file_doc, dict):
+            raise InvalidConfig(f"{path}: the config must be a JSON object")
+        for key, value in file_doc.items():
+            _fold(doc, key, value)
     for item in overrides or ():
         if "=" not in item:
             raise InvalidConfig(f"--set expects key=value, got {item!r}")
@@ -145,25 +182,20 @@ def load_config(path: str | None, overrides) -> RunConfig:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        _merge(cfg, key, value)
-    # dataclass-typed children may have been replaced by dicts from JSON
-    if isinstance(cfg.scene, dict):
-        cfg.scene = SceneSpec(**cfg.scene)
-    if isinstance(cfg.sparse, dict):
-        cfg.sparse = SparseSpec(**cfg.sparse)
-    if isinstance(cfg.train, dict):
-        cfg.train = TrainConfig(**cfg.train)
-    if isinstance(cfg.loss_weights, dict):
-        cfg.loss_weights = LossWeights(**cfg.loss_weights)
-    cfg.validate()
-    return cfg
+        _fold(doc, key, value)
+    return build_config(RunConfig, doc)
 
 
 def worker_count() -> int:
+    """Scene-level worker processes, from DSPN_THREADS (default 1)."""
+    raw = os.environ.get("DSPN_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("DSPN_THREADS", "1")))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise InvalidConfig(f"DSPN_THREADS must be a positive integer, got {raw!r}")
+    return count
 
 
 def fmt(v: float) -> str:
@@ -184,16 +216,9 @@ def build_suite(cfg: RunConfig) -> list:
     ]
 
 
-def init_fit_params(cfg: RunConfig, mode: str | None = None) -> FitParams:
-    mode = mode or cfg.train.mode
-    emb = EmbeddingParams.init(cfg.embed_dim, cfg.feature_channels, seed=cfg.seed + 11)
-    if mode == "direct":
-        return FitParams(
-            emb=emb,
-            offsets=OffsetField.zeros(cfg.scene.width, cfg.scene.height, cfg.kernel_size),
-        )
+def init_fit_params(cfg: RunConfig) -> FitParams:
     return FitParams(
-        emb=emb,
+        emb=EmbeddingParams.init(cfg.embed_dim, cfg.feature_channels, seed=cfg.seed + 11),
         estimator=OffsetEstimatorParams.init(
             cfg.feature_channels, cfg.hidden_channels, cfg.kernel_size, seed=cfg.seed + 13
         ),
@@ -227,17 +252,16 @@ def refine_scene(
         return cspn_refine(scene.d0, scene.ds, scene.m, stencils, iters)
     if params is None:
         raise InvalidConfig("dspn refinement needs fitted or initial parameters")
-    use = scene
+    conf = scene.conf
     if replacement == "hard":
-        use = dataclasses.replace(scene, conf=Grid(np.ones((scene.d0.height, scene.d0.width))))
-    if params.offsets is not None and params.offsets.kernel_size != kernel_size:
-        raise InvalidConfig("direct offsets were built for a different kernel size")
-    if params.estimator is not None and params.estimator.kernel_size != kernel_size:
+        conf = Grid(np.ones((scene.d0.height, scene.d0.width)))
+    if params.estimator.kernel_size == kernel_size:
+        offsets = offset_estimator(scene.features, params.estimator)
+    else:
         # embeddings transfer across kernel sizes; offsets fall back to the
         # regular grid of the requested size
-        params = FitParams(emb=params.emb, offsets=OffsetField.zeros(scene.d0.width, scene.d0.height, kernel_size))
-    refined, _, _ = scene_refined(params, use, iters)
-    return refined
+        offsets = OffsetField.zeros(scene.d0.width, scene.d0.height, kernel_size)
+    return dspn_refine(scene.d0, scene.ds, scene.m, conf, scene.features, offsets, params.emb, iters)
 
 
 def _eval_one(args):
@@ -267,10 +291,7 @@ def mean_rmse(reports) -> float:
 def run_generate(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    specs = suite_scene_specs(cfg.scene, cfg.sparse, cfg.num_scenes, base_seed=cfg.seed)
-    for i, (sc, sp) in enumerate(specs):
-        scene = prepare_scene(sc, sp, feature_channels=cfg.feature_channels,
-                              conf_cfg=ConfidenceConfig(cfg.gamma))
+    for i, scene in enumerate(build_suite(cfg)):
         write_grd(scene.dstar, out / f"{i:03d}_scene.grd")
         write_grd(scene.ds, out / f"{i:03d}_sparse.grd")
         write_grd(scene.m, out / f"{i:03d}_mask.grd")
@@ -286,30 +307,25 @@ def _load_input_grid(path: str) -> Grid:
 
 
 def _scene_from_inputs(cfg: RunConfig) -> Scene:
-    ds = _load_input_grid(cfg.inputs["sparse"])
+    ds = _load_input_grid(cfg.inputs.sparse)
     m = Grid((ds.channel(0) > 0.0).astype(np.float64))
     d0 = coarse_predict(ds, m)
     features = build_features(d0, m, cfg.feature_channels)
     conf = heuristic_confidence(ds, m, ConfidenceConfig(cfg.gamma))
-    gt_path = cfg.inputs.get("gt")
-    dstar = _load_input_grid(gt_path) if gt_path else d0
+    dstar = _load_input_grid(cfg.inputs.gt) if cfg.inputs.gt else d0
     return Scene(dstar=dstar, ds=ds, m=m, d0=d0, features=features, conf=conf)
 
 
 def run_complete(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if cfg.inputs.get("sparse"):
+    if cfg.inputs.sparse:
         scene = _scene_from_inputs(cfg)
-        have_gt = bool(cfg.inputs.get("gt"))
+        have_gt = bool(cfg.inputs.gt)
     else:
-        sc, sp = suite_scene_specs(cfg.scene, cfg.sparse, 1, base_seed=cfg.seed)[0]
-        scene = prepare_scene(sc, sp, feature_channels=cfg.feature_channels,
-                              conf_cfg=ConfidenceConfig(cfg.gamma))
+        scene = build_suite(dataclasses.replace(cfg, num_scenes=1))[0]
         have_gt = True
-    params = None
-    if cfg.refine == "dspn":
-        params = train_dspn([scene], cfg) if cfg.train.steps > 0 else init_fit_params(cfg)
+    params = train_dspn([scene], cfg) if cfg.refine == "dspn" else None
     refined = refine_scene(scene, cfg.refine, cfg.iters, cfg.kernel_size, params, cfg.replacement)
     write_grd(refined, out / "refined.grd")
     if have_gt:
@@ -319,6 +335,11 @@ def run_complete(cfg: RunConfig) -> int:
     else:
         print(f"refined map written to {out} (no ground truth, no error map)", file=sys.stderr)
     return 0
+
+
+def _metric_columns(reports) -> list:
+    """The mean rmse, mae, irmse and imae of a report list, as CSV fields."""
+    return [fmt(float(np.mean([getattr(r, k) for r in reports]))) for k in ("rmse", "mae", "irmse", "imae")]
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -332,23 +353,10 @@ def run_eval(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     scenes = build_suite(cfg)
-    params = None
-    if cfg.refine == "dspn":
-        params = train_dspn(scenes, cfg) if cfg.train.steps > 0 else init_fit_params(cfg)
+    params = train_dspn(scenes, cfg) if cfg.refine == "dspn" else None
     reports = evaluate_suite(scenes, cfg.refine, cfg.iters, cfg.kernel_size, params, cfg.replacement)
-    rows = [
-        [str(i), fmt(r.rmse), fmt(r.mae), fmt(r.irmse), fmt(r.imae)]
-        for i, r in enumerate(reports)
-    ]
-    rows.append(
-        [
-            "mean",
-            fmt(float(np.mean([r.rmse for r in reports]))),
-            fmt(float(np.mean([r.mae for r in reports]))),
-            fmt(float(np.mean([r.irmse for r in reports]))),
-            fmt(float(np.mean([r.imae for r in reports]))),
-        ]
-    )
+    rows = [[str(i), fmt(r.rmse), fmt(r.mae), fmt(r.irmse), fmt(r.imae)] for i, r in enumerate(reports)]
+    rows.append(["mean", *_metric_columns(reports)])
     path = out / "eval.csv"
     _write_csv(path, "scene_id,rmse,mae,irmse,imae", rows)
     print(f"wrote {path}")
@@ -397,10 +405,7 @@ def run_ablate(cfg: RunConfig) -> int:
                 method,
                 str(iters) if method != "none" else "-",
                 f"{k}x{k}" if method != "none" else "-",
-                fmt(float(np.mean([r.rmse for r in reports]))),
-                fmt(float(np.mean([r.mae for r in reports]))),
-                fmt(float(np.mean([r.irmse for r in reports]))),
-                fmt(float(np.mean([r.imae for r in reports]))),
+                *_metric_columns(reports),
             ]
         )
     path = out / "ablate.csv"
@@ -438,11 +443,10 @@ def main(argv=None) -> int:
         )
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, args.overrides)
-        cfg.mode = args.mode
-        cfg.validate()
+        cfg = load_config(args.config, [*args.overrides, f"mode={args.mode}"])
+        worker_count()  # a bad DSPN_THREADS fails here, before any work
         return run(cfg)
-    except (DspnError, OSError, json.JSONDecodeError) as exc:
+    except (DspnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

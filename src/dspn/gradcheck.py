@@ -306,7 +306,7 @@ def check_instance_gradients(inst: GradcheckInstance, eps: float = 1e-4) -> Grad
     analytic = analytic_refine_grads(inst)
     p = instance_params(inst)
     fd = finite_diff_grad(lambda v: _loss_from_vector(inst, v), p, eps=eps)
-    return GradReport.compare(analytic.replaced(analytic.values), fd)
+    return GradReport.compare(analytic, fd)
 
 
 # ---------------------------------------------------------------------------
@@ -316,46 +316,17 @@ def check_instance_gradients(inst: GradcheckInstance, eps: float = 1e-4) -> Grad
 
 @dataclass
 class FitParams:
-    """Trainable state for the toy fitter.
-
-    Offsets are parameterised either through the three-layer estimator
-    (per-scene offsets from per-scene features) or as one raw offset field
-    shared across scenes; both routes share the same backward pass.
-    """
+    """Trainable state for the toy fitter: the embeddings and the
+    three-layer estimator that computes per-scene offsets from features."""
 
     emb: EmbeddingParams
-    estimator: OffsetEstimatorParams | None = None
-    offsets: OffsetField | None = None
-
-    def __post_init__(self):
-        if (self.estimator is None) == (self.offsets is None):
-            raise InvalidConfig("exactly one of estimator/offsets must be set")
+    estimator: OffsetEstimatorParams
 
     def copy(self) -> "FitParams":
         return FitParams(
             emb=EmbeddingParams(self.emb.g_theta.copy(), self.emb.g_phi.copy()),
-            estimator=None if self.estimator is None else self.estimator.copy(),
-            offsets=None
-            if self.offsets is None
-            else OffsetField(self.offsets.kernel_size, self.offsets.delta.copy()),
+            estimator=self.estimator.copy(),
         )
-
-
-def _scene_offsets(params: FitParams, features: Grid):
-    if params.estimator is not None:
-        delta, cache = offset_estimator_forward(features.data, params.estimator)
-        return OffsetField(params.estimator.kernel_size, delta), cache
-    return params.offsets, None
-
-
-def scene_refined(params: FitParams, scene, iters: int, keep_records: bool = False):
-    """Refine one prepared scene bundle with the current parameters."""
-    offsets, cache = _scene_offsets(params, scene.features)
-    refined, state = dspn_refine_forward(
-        scene.d0, scene.ds, scene.m, scene.conf, scene.features,
-        offsets, params.emb, iters, keep_records=keep_records,
-    )
-    return refined, state, cache
 
 
 @dataclass
@@ -380,6 +351,7 @@ def _stack_scenes(scenes) -> _SceneStack:
 
 
 FIT_CHUNK = 10  # scenes per batched forward/backward; bounds peak memory
+ESTIMATOR_KEYS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
 def _fit_loss_and_grads(params: FitParams, stack: _SceneStack, iters: int, weight: float,
@@ -388,22 +360,13 @@ def _fit_loss_and_grads(params: FitParams, stack: _SceneStack, iters: int, weigh
     loss = 0.0
     d_theta = np.zeros_like(params.emb.g_theta)
     d_phi = np.zeros_like(params.emb.g_phi)
-    d_est = None
-    d_off = None
-    if params.estimator is not None:
-        d_est = {k: np.zeros_like(getattr(params.estimator, k)) for k in ("w1", "b1", "w2", "b2", "w3", "b3")}
-    else:
-        d_off = np.zeros_like(params.offsets.delta)
+    d_est = {k: np.zeros_like(getattr(params.estimator, k)) for k in ESTIMATOR_KEYS}
 
     px_per_scene = stack.d0.shape[1] * stack.d0.shape[2]
     for start in range(0, total_scenes, FIT_CHUNK):
         stop = min(start + FIT_CHUNK, total_scenes)
         feats = stack.features[start:stop]
-        if params.estimator is not None:
-            delta, cache = offset_estimator_forward(feats, params.estimator)
-        else:
-            delta = np.broadcast_to(params.offsets.delta, (stop - start,) + params.offsets.delta.shape)
-            cache = None
+        delta, cache = offset_estimator_forward(feats, params.estimator)
         aff = affinity_forward_batched(feats, delta, params.emb, kernel_size)
         state = refine_forward_batched(
             stack.d0[start:stop], stack.ds[start:stop], stack.replace_factor[start:stop],
@@ -417,12 +380,9 @@ def _fit_loss_and_grads(params: FitParams, stack: _SceneStack, iters: int, weigh
         grads = dspn_backward(upstream, state)
         d_theta += grads["g_theta"]
         d_phi += grads["g_phi"]
-        if params.estimator is not None:
-            for k, v in offset_estimator_backward(grads["offsets"], cache, params.estimator).items():
-                d_est[k] += v
-        else:
-            d_off += grads["offsets"].sum(axis=0)
-    return loss / total_scenes, {"g_theta": d_theta, "g_phi": d_phi, "estimator": d_est, "offsets": d_off}
+        for k, v in offset_estimator_backward(grads["offsets"], cache, params.estimator).items():
+            d_est[k] += v
+    return loss / total_scenes, {"g_theta": d_theta, "g_phi": d_phi, "estimator": d_est}
 
 
 def toy_fit(
@@ -453,7 +413,7 @@ def toy_fit(
             estimator=OffsetEstimatorParams.init(d_f, seed=seed + 1),
         )
     weight = (weights or LossWeights()).refined
-    kernel_size = init.estimator.kernel_size if init.estimator is not None else init.offsets.kernel_size
+    kernel_size = init.estimator.kernel_size
 
     params = init.copy()
     stack = _stack_scenes(scenes)
@@ -465,11 +425,8 @@ def toy_fit(
     for step in range(steps):
         params.emb.g_theta -= lr * grads["g_theta"]
         params.emb.g_phi -= lr * grads["g_phi"]
-        if params.estimator is not None:
-            for k in ("w1", "b1", "w2", "b2", "w3", "b3"):
-                setattr(params.estimator, k, getattr(params.estimator, k) - lr * grads["estimator"][k])
-        else:
-            params.offsets.delta -= lr * grads["offsets"]
+        for k in ESTIMATOR_KEYS:
+            setattr(params.estimator, k, getattr(params.estimator, k) - lr * grads["estimator"][k])
         last = step == steps - 1
         try:
             # the propagation output is range-bounded, so runaway parameters

@@ -84,10 +84,14 @@ def read_pgm16(path, scale: float = DEPTH_SCALE) -> Grid:
     if len(blob) < 2 or blob[:2] != b"P5":
         raise UnsupportedFormat(f"{path}: not a binary PGM (P5) file")
     tokens, offset = _pgm_tokens(blob, 4)
+    if tokens[0] != b"P5":
+        raise UnsupportedFormat(f"{path}: not a binary PGM (P5) file")
     try:
         width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError as exc:
         raise CorruptFile(f"{path}: malformed PGM header") from exc
+    if width < 1 or height < 1:
+        raise CorruptFile(f"{path}: PGM dimensions must be positive, got {width}x{height}")
     if maxval != PGM_MAXVAL:
         raise UnsupportedFormat(f"{path}: maxval {maxval} unsupported, need {PGM_MAXVAL}")
     expected = width * height * 2

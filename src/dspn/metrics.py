@@ -1,4 +1,4 @@
-"""KITTI-convention error metrics and the composite training loss.
+"""KITTI-convention error metrics and the training-loss weight.
 
 Depth metrics are reported in millimetres, inverse-depth metrics in 1/km.
 Evaluation is restricted to pixels with positive ground truth.
@@ -29,17 +29,13 @@ class MetricReport:
 
 @dataclass
 class LossWeights:
-    """Weights of the coarse-depth, refined-depth, and confidence losses."""
+    """Weight of the refined-depth loss, the one loss the fitter trains."""
 
-    coarse: float = 1.0
     refined: float = 1.0
-    confidence: float = 1.0
 
     def __post_init__(self):
-        for name in ("coarse", "refined", "confidence"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0.0):
-                raise InvalidConfig(f"loss weight {name} must be finite and >= 0, got {v}")
+        if not (np.isfinite(self.refined) and self.refined >= 0.0):
+            raise InvalidConfig(f"loss weight refined must be finite and >= 0, got {self.refined}")
 
 
 def eval_metrics(pred: Grid, gt: Grid) -> MetricReport:
@@ -59,25 +55,3 @@ def eval_metrics(pred: Grid, gt: Grid) -> MetricReport:
     irmse = float(np.sqrt(np.mean(inv_diff * inv_diff)) * 1000.0)
     imae = float(np.mean(np.abs(inv_diff)) * 1000.0)
     return MetricReport(rmse=rmse, mae=mae, irmse=irmse, imae=imae, valid_count=count)
-
-
-def l2_loss(pred: Grid, target: Grid, mask: Grid | None = None) -> float:
-    """Mean squared difference over the masked pixels (all pixels if no mask)."""
-    if not same_shape(pred, target):
-        raise ShapeMismatch("prediction and target must share one shape")
-    sq = (pred.channel(0) - target.channel(0)) ** 2
-    if mask is None:
-        return float(np.mean(sq))
-    if not same_shape(pred, mask):
-        raise ShapeMismatch("mask must share the prediction's shape")
-    sel = mask.channel(0) != 0.0
-    if not sel.any():
-        raise EmptyGroundTruth("mask selects no pixels")
-    return float(np.mean(sq[sel]))
-
-
-def total_loss(l_coarse: float, l_refined: float, l_confidence: float, w: LossWeights) -> float:
-    for name, v in (("coarse", l_coarse), ("refined", l_refined), ("confidence", l_confidence)):
-        if not np.isfinite(v):
-            raise InvalidConfig(f"{name} loss is not finite: {v}")
-    return w.coarse * l_coarse + w.refined * l_refined + w.confidence * l_confidence

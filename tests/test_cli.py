@@ -1,22 +1,77 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dspn import read_grd
-from dspn.cli import DEFAULT_ABLATE_ROWS, RunConfig, load_config, main
-from dspn.errors import InvalidConfig
+from dspn import cli, read_grd, write_pgm16
+from dspn.cli import (
+    DEFAULT_ABLATE_ROWS,
+    RunConfig,
+    build_config,
+    build_suite,
+    evaluate_suite,
+    init_fit_params,
+    load_config,
+    main,
+)
+from dspn.errors import DspnError, InvalidConfig
+from dspn.gradcheck import toy_fit
+
+
+def _refuse_scenes(cfg):
+    raise AssertionError("a rejected run built scenes")
+
+
+def _config_keys(cls=RunConfig, prefix=""):
+    """(dotted key, type) for every field; sections come as (key, dict)."""
+    kinds = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        kind = kinds[f.name]
+        if dataclasses.is_dataclass(kind):
+            yield prefix + f.name, dict
+            yield from _config_keys(kind, prefix + f.name + ".")
+        else:
+            yield prefix + f.name, kind
+
+
+# the sub-command sets mode, so a drawn mode would never reach the builder
+CONFIG_KEYS = [(key, kind) for key, kind in _config_keys() if key != "mode"]
+WRONG_TYPES = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=4), st.lists(st.integers(), max_size=2),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+PLAUSIBLE = {
+    int: st.one_of(st.integers(1, 40), st.integers(-3, 0)),
+    float: st.one_of(st.floats(0.0, 1.0), st.integers(-1, 12), st.floats(-1.0, 12.0)),
+    str: st.sampled_from(["dspn", "cspn", "none", "soft", "hard", "step", "plane", "out", ""]),
+    dict: st.integers(-1, 5),  # a whole section given as a scalar
+}
+
+
+@st.composite
+def overrides(draw):
+    items = []
+    for key, kind in draw(st.lists(st.sampled_from(CONFIG_KEYS), max_size=4)):
+        value = draw(WRONG_TYPES if draw(st.integers(0, 4)) == 0 else PLAUSIBLE[kind])
+        items.append(f"{key}={json.dumps(value)}")
+    return items
 
 
 class TestConfig:
     def test_defaults_validate(self):
         cfg = RunConfig()
-        cfg.validate()
         assert cfg.refine == "dspn"
         assert cfg.kernel_size == 3
+
+    def test_no_overrides_give_defaults(self):
+        assert load_config(None, []) == RunConfig()
 
     def test_file_plus_overrides(self, tmp_path):
         doc = {"refine": "cspn", "iters": 6, "scene": {"kind": "step", "width": 16, "height": 16}}
@@ -52,6 +107,35 @@ class TestConfig:
         rc = main(["eval", "--set", "refine=fancy"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        "loss_weights.refined=-1", "iters=3.7", "num_scenes=true", "seed=1.5", "scene.width=4",
+        "sparse.density=2", "train=5", "sparse=0.5", "inputs.foo=1", "embed_dim=0",
+        "gradcheck_instances=0", "hidden_channels=0", "inputs.sparse=5", "inputs=5", "seed=-1",
+        'train="direct"', "train.mode=direct", "loss_weights.coarse=1", "loss_weights.confidence=1",
+        "gradcheck_tol=-1", "gamma=NaN", "train.lr=Infinity", "inputs.gt=gt.pgm",
+    ])
+    def test_bad_override_exits_2_before_any_work(self, override, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_suite", _refuse_scenes)
+        assert main(["eval", "--set", override]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+    def test_bad_dspn_threads_exits_2_before_any_work(self, value, monkeypatch, capsys, tmp_path):
+        monkeypatch.setenv("DSPN_THREADS", value)
+        monkeypatch.setattr(cli, "build_suite", _refuse_scenes)
+        assert main(["eval", *small_args(tmp_path)]) == 2
+        assert "DSPN_THREADS" in capsys.readouterr().err
+
+    @settings(max_examples=300, deadline=None)
+    @given(overrides())
+    def test_loaded_configs_round_trip_and_rejected_ones_exit_2(self, items):
+        try:
+            cfg = load_config(None, items)
+        except DspnError:
+            assert main(["eval", *[arg for item in items for arg in ("--set", item)]]) == 2
+            return
+        assert build_config(RunConfig, dataclasses.asdict(cfg)) == cfg
 
 
 def small_args(tmp_path, extra=()):
@@ -157,6 +241,33 @@ class TestModes:
         assert len(lines) == 1 + len(DEFAULT_ABLATE_ROWS)
         methods = [ln.split(",")[0] for ln in lines[1:]]
         assert methods == [m for m, _, _ in DEFAULT_ABLATE_ROWS]
+
+    def test_benchmark_entry_points(self, tmp_path):
+        # every call the benchmark workloads make, on a 2-scene 16x16 suite
+        assert load_config(None, ["seed=123"]) == dataclasses.replace(RunConfig(), seed=123)
+        cfg = load_config(None, ["seed=123", "num_scenes=2", "scene.width=16", "scene.height=16"])
+        scenes = build_suite(cfg)
+        params = init_fit_params(cfg)
+        _, trace = toy_fit(
+            scenes, params, lr=cfg.train.lr, steps=1,
+            seed=cfg.seed, iters=cfg.train.iters, weights=cfg.loss_weights,
+        )
+        assert len(trace) == 2 and np.isfinite(trace).all() and trace[1] != trace[0]
+        for method, iters, k in DEFAULT_ABLATE_ROWS:
+            reports = evaluate_suite(scenes, method, iters, k if k else cfg.kernel_size, params, cfg.replacement)
+            assert len(reports) == 2 and all(np.isfinite(r.rmse) for r in reports)
+        sparse, gt = tmp_path / "sparse.pgm", tmp_path / "gt.pgm"
+        write_pgm16(scenes[0].ds, sparse)
+        write_pgm16(scenes[0].dstar, gt)
+        out = tmp_path / "out"
+        rc = main([
+            "complete", "--set", "refine=dspn", "--set", "train.steps=0",
+            "--set", f"inputs.sparse={sparse}", "--set", f"inputs.gt={gt}",
+            "--set", f"out_dir={out}",
+        ])
+        assert rc == 0
+        assert read_grd(out / "refined.grd").data.shape == (16, 16, 1)
+        assert read_grd(out / "errmap.grd").data.shape == (16, 16, 1)
 
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(

@@ -240,13 +240,3 @@ class TestToyFit:
     def test_loss_decreases_with_small_lr(self, scenes):
         _, trace = toy_fit(scenes, self._init(scenes), lr=0.05, steps=10, iters=2)
         assert trace[-1] < trace[0]
-
-    def test_direct_offset_mode(self, scenes):
-        init = FitParams(
-            emb=EmbeddingParams.init(4, 4, seed=3),
-            offsets=OffsetField.zeros(12, 12, 3),
-        )
-        fitted, trace = toy_fit(scenes, init, lr=0.05, steps=5, iters=2)
-        assert fitted.offsets is not None
-        assert trace[-1] <= trace[0]
-        assert np.abs(fitted.offsets.delta).max() > 0.0

@@ -2,9 +2,70 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dspn import Grid, read_grd, read_pgm16, write_grd, write_pgm16
 from dspn.errors import CorruptFile, UnsupportedFormat
+
+REJECTED = (CorruptFile, UnsupportedFormat)
+HEADER_SPACE = b" \t\n\r\x0b\x0c"
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("malformed")
+
+
+def _grd(width, height, channels, values) -> bytes:
+    return b"GRD1" + struct.pack("<III", width, height, channels) + np.asarray(values, "<f4").tobytes()
+
+
+def _pgm(magic, width, height, maxval=65535, payload=None) -> bytes:
+    if payload is None:
+        payload = b"\x01" * (2 * abs(width * height))
+    return magic + f"\n{width} {height}\n{maxval}\n".encode("ascii") + payload
+
+
+@st.composite
+def malformed_grd(draw):
+    w, h, c = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    values = draw(st.lists(st.floats(-1e3, 1e3, width=32), min_size=w * h * c, max_size=w * h * c))
+    good = _grd(w, h, c, values)
+    defect = draw(st.sampled_from(["truncated", "oversized", "non-finite", "zero", "magic", "header"]))
+    if defect == "truncated":
+        return good[: draw(st.integers(0, len(good) - 1))]
+    if defect == "oversized":
+        return good + draw(st.binary(min_size=1, max_size=8))
+    if defect == "non-finite":
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        return _grd(w, h, c, values)
+    if defect == "zero":
+        dims = [w, h, c]
+        dims[draw(st.integers(0, 2))] = 0
+        return _grd(*dims, values if draw(st.booleans()) else [])
+    if defect == "magic":
+        return draw(st.binary(min_size=4, max_size=4).filter(lambda m: m != b"GRD1")) + good[4:]
+    return _grd(w + draw(st.integers(1, 3)), h, c, values)
+
+
+@st.composite
+def malformed_pgm(draw):
+    w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    good = _pgm(b"P5", w, h)
+    defect = draw(st.sampled_from(["truncated", "oversized", "dims", "magic", "maxval"]))
+    if defect == "truncated":
+        return good[: draw(st.integers(0, len(good) - 1))]
+    if defect == "oversized":
+        return good + draw(st.binary(min_size=1, max_size=8))
+    if defect == "dims":
+        # the payload matches the product, so only the sign check can catch it
+        return _pgm(b"P5", draw(st.integers(-3, 0)), draw(st.integers(-3, 3)))
+    if defect == "magic":
+        magic = draw(st.binary(min_size=1, max_size=4).filter(
+            lambda m: m != b"P5" and not any(c in HEADER_SPACE for c in m)))
+        return _pgm(magic, w, h)
+    return _pgm(b"P5", w, h, maxval=draw(st.integers(0, 70000).filter(lambda v: v != 65535)))
 
 
 class TestGrd:
@@ -42,6 +103,14 @@ class TestGrd:
         path = tmp_path / "short.grd"
         path.write_bytes(b"GRD1" + struct.pack("<III", 4, 4, 1) + b"\x00" * (15 * 4))
         with pytest.raises(CorruptFile):
+            read_grd(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(malformed_grd())
+    def test_malformed_files_rejected(self, scratch, blob):
+        path = scratch / "bad.grd"
+        path.write_bytes(blob)
+        with pytest.raises(REJECTED):
             read_grd(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -98,3 +167,23 @@ class TestPgm16:
         path = tmp_path / "s.pgm"
         write_pgm16(Grid([[2.0]]), path, scale=512.0)
         assert read_pgm16(path, scale=512.0).channel(0)[0, 0] == 2.0
+
+    @pytest.mark.parametrize("blob, error", [
+        (_pgm(b"P5", -2, -2), CorruptFile),
+        (_pgm(b"P5", 0, 0), CorruptFile),
+        (_pgm(b"P5", 0, 3), CorruptFile),
+        (_pgm(b"P5x", 1, 1), UnsupportedFormat),
+    ])
+    def test_bad_header_rejected(self, tmp_path, blob, error):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(error):
+            read_pgm16(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(malformed_pgm())
+    def test_malformed_files_rejected(self, scratch, blob):
+        path = scratch / "bad.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(REJECTED):
+            read_pgm16(path)

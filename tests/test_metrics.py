@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dspn import Grid, LossWeights, eval_metrics, l2_loss, total_loss
+from dspn import Grid, LossWeights, eval_metrics
 from dspn.errors import EmptyGroundTruth, InvalidConfig, ShapeMismatch
 
 from oracles import metrics_ref
@@ -82,44 +82,6 @@ class TestEvalMetrics:
 
 
 class TestLosses:
-    def test_zero_loss(self):
-        g = Grid.full(4, 4, 2.0)
-        assert l2_loss(g, g) == 0.0
-
-    def test_constant_residual(self):
-        assert l2_loss(Grid.full(4, 4, 3.0), Grid.full(4, 4, 1.0)) == pytest.approx(4.0)
-
-    def test_masked_half_grid_matches_scalar_loop(self):
-        rng = np.random.default_rng(4)
-        pred = rng.uniform(0.0, 5.0, (4, 6))
-        target = rng.uniform(0.0, 5.0, (4, 6))
-        mask = np.zeros((4, 6))
-        mask[:, :3] = 1.0
-        got = l2_loss(Grid(pred), Grid(target), Grid(mask))
-        acc = [
-            (pred[y, x] - target[y, x]) ** 2
-            for y in range(4)
-            for x in range(6)
-            if mask[y, x] == 1.0
-        ]
-        assert got == pytest.approx(sum(acc) / len(acc), abs=1e-12)
-
-    def test_empty_mask_raises(self):
-        g = Grid.zeros(3, 3)
-        with pytest.raises(EmptyGroundTruth):
-            l2_loss(g, g, Grid.zeros(3, 3))
-
-    def test_total_loss_unit_weights(self):
-        assert total_loss(1.0, 1.0, 1.0, LossWeights()) == 3.0
-
-    def test_total_loss_confidence_weight_zero(self):
-        w = LossWeights(confidence=0.0)
-        assert total_loss(0.5, 0.25, 123.0, w) == total_loss(0.5, 0.25, 0.0, w)
-
-    def test_total_loss_derived_case(self):
-        w = LossWeights(coarse=0.5, refined=0.25, confidence=0.1)
-        assert total_loss(1.0, 2.0, 10.0, w) == pytest.approx(2.0, abs=1e-12)
-
     def test_negative_weight_rejected(self):
         with pytest.raises(InvalidConfig):
-            LossWeights(coarse=-0.1)
+            LossWeights(refined=-0.1)
