@@ -41,7 +41,7 @@ from .synth import (
     build_features,
     coarse_predict,
     prepare_scene,
-    suite_scene_specs,
+    suite_seeds,
 )
 
 MODES = ("generate", "complete", "eval", "gradcheck", "ablate")
@@ -208,11 +208,13 @@ def fmt(v: float) -> str:
 
 
 def build_suite(cfg: RunConfig) -> list:
-    specs = suite_scene_specs(cfg.scene, cfg.sparse, cfg.num_scenes, base_seed=cfg.seed)
     conf_cfg = ConfidenceConfig(cfg.gamma)
     return [
-        prepare_scene(sc, sp, feature_channels=cfg.feature_channels, conf_cfg=conf_cfg)
-        for sc, sp in specs
+        prepare_scene(
+            cfg.scene, cfg.sparse, scene_seed, sparse_seed,
+            feature_channels=cfg.feature_channels, conf_cfg=conf_cfg,
+        )
+        for scene_seed, sparse_seed in suite_seeds(cfg.num_scenes, base_seed=cfg.seed)
     ]
 
 

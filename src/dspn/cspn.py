@@ -36,13 +36,18 @@ def neighbor_offsets(kernel_size: int) -> np.ndarray:
 
 
 class AffinityStencilField:
-    """Per-pixel raw affinities over the k x k ring, shape (h, w, k*k-1)."""
+    """Per-pixel raw affinities over the k x k ring, shape (h, w, k*k-1).
 
-    __slots__ = ("kernel_size", "raw")
+    ``norm`` is the abs-normalised stencil, computed once here because every
+    propagation step reads the same weights. ``raw`` is a copy of the input,
+    so a caller changing its array later cannot leave ``norm`` stale.
+    """
+
+    __slots__ = ("kernel_size", "raw", "norm")
 
     def __init__(self, kernel_size: int, raw):
         check_kernel_size(kernel_size)
-        arr = np.asarray(raw, dtype=np.float64)
+        arr = np.array(raw, dtype=np.float64)
         n = kernel_size * kernel_size - 1
         if arr.ndim != 3 or arr.shape[2] != n:
             raise InvalidAffinity(f"expected stencil shape (h, w, {n}), got {arr.shape}")
@@ -50,6 +55,7 @@ class AffinityStencilField:
             raise InvalidAffinity("stencil contains NaN or Inf")
         self.kernel_size = kernel_size
         self.raw = arr
+        self.norm = normalize_stencil(arr)
 
     @classmethod
     def uniform(cls, width: int, height: int, kernel_size: int = 3, value: float = 1.0) -> "AffinityStencilField":
@@ -106,14 +112,13 @@ def cspn_step(H: Grid, stencils: AffinityStencilField) -> Grid:
         raise ShapeMismatch(
             f"stencil field {stencils.raw.shape[:2]} does not match grid {(h, w)}"
         )
-    norm = normalize_stencil(stencils.raw)
     arr = H.channel(0)
     r = stencils.kernel_size // 2
     padded = np.pad(arr, r, mode="edge")
     offs = neighbor_offsets(stencils.kernel_size)
     acc = np.zeros_like(arr)
     for j, nb in enumerate(_shifted_views(padded, offs, h, w, r)):
-        acc += norm.weights[:, :, j] * (nb - arr)
+        acc += stencils.norm.weights[:, :, j] * (nb - arr)
     return Grid(arr + acc)
 
 

@@ -7,8 +7,14 @@ sampled) displaced position; the self term participates in the softmax, so
 the full weight set is a probability distribution and every step is a convex
 combination.
 
+The bilinear read is linear, so the logit ``q . (G_phi f_nb)`` of a tap
+equals the bilinear blend of its four corner products ``q . K[corner]``,
+where ``K = F G_phi^T`` is embedded once per pixel, not once per tap. The
+affinity therefore reads one scalar per corner and keeps no per-tap feature
+or key tensor; the backward pass re-gathers features one corner at a time.
+
 The numerical core works on scene batches, shape (S, h, w, ...), and reads
-every sampled value (neighbour features here, depth in each step, their
+every sampled value (corner products here, depth in each step, their
 gradients in the backward pass) through the one bilinear taps type,
 :class:`dspn.grid.Taps`. The public grid operations wrap the core with
 S == 1, and the per-pixel API (:func:`deformed_neighborhood`,
@@ -321,19 +327,19 @@ class AffinityState:
     """Batched affinity weights plus everything the backward pass reuses.
 
     Leading axes (S, ...) are the scene stack and the pixels of each scene:
-    (S, h, w) for a whole map, (1,) for the per-pixel view.
+    (S, h, w) for a whole map, (1,) for the per-pixel view. No field has a
+    per-tap channel axis.
     """
 
     scale: float
     taps: Taps
-    corners: tuple  # four (S, ..., n, d_F) corner feature reads
-    f_nb: np.ndarray  # (S, ..., n, d_F) sampled neighbour features
+    dots: np.ndarray  # (4, S, ..., n) corner products q . K[corner], stacked like taps.index
     q: np.ndarray  # (S, ..., d_e)
-    k_nb: np.ndarray  # (S, ..., n, d_e)
     k_self: np.ndarray  # (S, ..., d_e)
     w_nb: np.ndarray  # (S, ..., n)
     w_self: np.ndarray  # (S, ...)
     F: np.ndarray  # (S, ..., d_F) features at the propagating pixels
+    stack: np.ndarray  # (S, h, w, d_F) the feature stack the taps read
     emb: EmbeddingParams
 
 
@@ -356,20 +362,22 @@ def _affinity_at(F: np.ndarray, f_self: np.ndarray, pos_x: np.ndarray, pos_y: np
     """Scaled-dot-product softmax between features ``f_self`` (S, ..., d_F)
     and the (S, h, w, d_F) stack ``F`` sampled at (S, ..., n) positions.
 
-    Logits are max-shifted before exponentiation; the self term is part of
-    the normalisation, so all weights are strictly positive and sum to 1
-    with the self weight included.
+    Each neighbour logit is the bilinear blend of the four corner products
+    ``q . K[corner]`` (see the module docstring). Logits are max-shifted
+    before exponentiation; the self term is part of the normalisation, so
+    all weights are strictly positive and sum to 1 with the self weight
+    included.
     """
     taps = Taps.at(pos_x, pos_y, F.shape[2], F.shape[1])
-    corners = taps.corners(F)
-    f_nb = taps.lerp(corners)
-
     scale = np.sqrt(float(F.shape[-1]))
     q = _matmul_last(f_self, emb.g_theta)
-    k_nb = _matmul_last(f_nb, emb.g_phi)
     k_self = _matmul_last(f_self, emb.g_phi)
+    keys = _matmul_last(F, emb.g_phi).reshape(-1, emb.embed_dim)
+    dots = np.empty(taps.index.shape)
+    for idx, out in zip(taps.index, dots):
+        np.einsum("...nd,...d->...n", np.take(keys, idx, axis=0), q, out=out)
 
-    logit_nb = (k_nb * q[..., np.newaxis, :]).sum(axis=-1) / scale
+    logit_nb = taps.lerp(dots) / scale
     logit_self = (q * k_self).sum(axis=-1) / scale
     # the initial value lets a per-pixel call pass an empty neighbour list
     top = np.maximum(logit_nb.max(axis=-1, initial=-np.inf), logit_self)
@@ -377,8 +385,8 @@ def _affinity_at(F: np.ndarray, f_self: np.ndarray, pos_x: np.ndarray, pos_y: np
     e_self = np.exp(logit_self - top)
     z = e_nb.sum(axis=-1) + e_self
     return AffinityState(
-        scale=scale, taps=taps, corners=corners, f_nb=f_nb, q=q, k_nb=k_nb, k_self=k_self,
-        w_nb=e_nb / z[..., np.newaxis], w_self=e_self / z, F=f_self, emb=emb,
+        scale=scale, taps=taps, dots=dots, q=q, k_self=k_self,
+        w_nb=e_nb / z[..., np.newaxis], w_self=e_self / z, F=f_self, stack=F, emb=emb,
     )
 
 

@@ -175,23 +175,26 @@ def dspn_backward(grad_out, state: RefineState, detach_weights: bool = False) ->
         d_f = aff.F.shape[-1]
         # softmax over n+1 entries; the self weight has no direct upstream
         t = (aff.w_nb * dw_nb).sum(axis=3)
-        dlogit_nb = aff.w_nb * (dw_nb - t[..., np.newaxis])
-        dlogit_self = -aff.w_self * t
-        dq = (
-            (dlogit_nb[..., np.newaxis] * aff.k_nb).sum(axis=3)
-            + dlogit_self[..., np.newaxis] * aff.k_self
-        ) / aff.scale
-        dk_nb = dlogit_nb[..., np.newaxis] * (aff.q[:, :, :, np.newaxis, :] / aff.scale)
-        dk_self = dlogit_self[..., np.newaxis] * aff.q / aff.scale
-        d_theta = dq.reshape(-1, d_e).T @ aff.F.reshape(-1, d_f)
-        d_phi = (
-            dk_nb.reshape(-1, d_e).T @ aff.f_nb.reshape(-1, d_f)
-            + dk_self.reshape(-1, d_e).T @ aff.F.reshape(-1, d_f)
-        )
-        df_nb = (dk_nb.reshape(-1, d_e) @ aff.emb.g_phi).reshape(dk_nb.shape[:-1] + (d_f,))
-        dpx, dpy = aff.taps.position_gradient(aff.corners, df_nb)
-        dpos_x += dpx
-        dpos_y += dpy
+        dlogit_nb = aff.w_nb * (dw_nb - t[..., np.newaxis]) / aff.scale
+        dlogit_self = -aff.w_self * t / aff.scale
+        # a neighbour logit is the bilinear blend of its corner products
+        # q . K[corner], so its position gradient is a scalar read of them
+        ddx, ddy = aff.taps.position_gradient(aff.dots)
+        dpos_x += dlogit_nb * ddx
+        dpos_y += dlogit_nb * ddy
+        # h = sum over taps and corners of dlogit * weight * F[corner], the
+        # per-pixel feature-space gradient of the neighbour logits
+        stack = aff.stack.reshape(-1, d_f)
+        h = np.zeros(aff.F.shape)
+        for idx, w in zip(aff.taps.index, aff.taps.weights):
+            h += np.einsum("...n,...nf->...f", dlogit_nb * w, np.take(stack, idx, axis=0))
+        h = h.reshape(-1, d_f)
+        q = aff.q.reshape(-1, d_e)
+        f_self = aff.F.reshape(-1, d_f)
+        dq = h @ aff.emb.g_phi.T + (dlogit_self[..., np.newaxis] * aff.k_self).reshape(-1, d_e)
+        dk_self = (dlogit_self[..., np.newaxis] * aff.q).reshape(-1, d_e)
+        d_theta = dq.T @ f_self
+        d_phi = q.T @ h + dk_self.T @ f_self
 
     d_offsets = np.stack([dpos_x, dpos_y], axis=-1)
     if squeeze:

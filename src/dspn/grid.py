@@ -9,7 +9,6 @@ All arithmetic is 64-bit internally; file I/O may narrow to 32-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -105,25 +104,38 @@ def unit_confidence(M: Grid) -> np.ndarray:
     return conf
 
 
-@dataclass
 class Taps:
     """Bilinear taps over a stack of ``(S, h, w)`` grids: the one primitive
     behind every sampled read.
 
-    Sampling positions carry the stack index as their leading axis. Each tap
+    Sampling positions carry the stack index as their leading axis. ``index``
     holds the four border-clamped corner indices into the stack flattened to
-    ``(S*h*w,)``, so every gather is a cheap 1-D take, plus the fractional
+    ``(S*h*w,)``, stacked in corner order 00, 10, 01, 11 along a leading axis
+    of length 4, so every gather is a cheap 1-D take and ``index.ravel()`` is
+    the concatenated scatter index. ``fx`` and ``fy`` are the fractional
     parts of the unclamped position: a position fully outside the grid
-    degrades to a constant border read with zero spatial derivative.
-    Corner naming is ``(x, y)``: ``flat10`` is one column right of ``flat00``.
+    degrades to a constant border read with zero spatial derivative. Corner
+    naming is ``(x, y)``: corner 10 is one column right of corner 00.
+
+    Everything that does not depend on the values read (``1 - fx``,
+    ``1 - fy`` and the four bilinear ``weights``, stacked like ``index``) is
+    built once here, so a propagation step that reads through the same taps
+    many times only gathers and blends.
     """
 
-    flat00: np.ndarray
-    flat10: np.ndarray
-    flat01: np.ndarray
-    flat11: np.ndarray
-    fx: np.ndarray
-    fy: np.ndarray
+    __slots__ = ("index", "fx", "fy", "gx", "gy", "weights")
+
+    def __init__(self, index: np.ndarray, fx: np.ndarray, fy: np.ndarray):
+        self.index = index
+        self.fx = fx
+        self.fy = fy
+        self.gx = 1.0 - fx
+        self.gy = 1.0 - fy
+        self.weights = np.empty(index.shape)
+        np.multiply(self.gx, self.gy, out=self.weights[0])
+        np.multiply(fx, self.gy, out=self.weights[1])
+        np.multiply(self.gx, fy, out=self.weights[2])
+        np.multiply(fx, fy, out=self.weights[3])
 
     @classmethod
     def at(cls, px: np.ndarray, py: np.ndarray, width: int, height: int) -> "Taps":
@@ -141,29 +153,24 @@ class Taps:
         stack = (np.arange(s, dtype=np.int64) * height).reshape((s,) + (1,) * (px.ndim - 1))
         row0 = (stack + iy0) * width
         row1 = (stack + iy1) * width
-        return cls(row0 + ix0, row0 + ix1, row1 + ix0, row1 + ix1, px - x0, py - y0)
+        index = np.empty((4,) + px.shape, dtype=np.int64)
+        np.add(row0, ix0, out=index[0])
+        np.add(row0, ix1, out=index[1])
+        np.add(row1, ix0, out=index[2])
+        np.add(row1, ix1, out=index[3])
+        return cls(index, px - x0, py - y0)
 
-    def corners(self, values: np.ndarray):
-        """The four corner reads of (S, h, w) or (S, h, w, c) values.
-
-        Each read has the taps' shape, plus the trailing channel axis if any.
-        """
-        flat = values.reshape((-1,) + values.shape[3:])
-        idx = (self.flat00, self.flat10, self.flat01, self.flat11)
-        return tuple(np.take(flat, i, axis=0) for i in idx)
+    def corners(self, values: np.ndarray) -> np.ndarray:
+        """The four corner reads of (S, h, w) values, stacked like ``index``."""
+        return np.take(values.reshape(-1), self.index)
 
     def lerp(self, corners) -> np.ndarray:
-        """Bilinear combination of corner reads (no clamping)."""
-        v00, v10, v01, v11 = corners
-        extra = (1,) * (v00.ndim - self.fx.ndim)  # broadcast over channels
-        fx = self.fx.reshape(self.fx.shape + extra)
-        fy = self.fy.reshape(self.fy.shape + extra)
-        return (
-            (1.0 - fx) * (1.0 - fy) * v00
-            + fx * (1.0 - fy) * v10
-            + (1.0 - fx) * fy * v01
-            + fx * fy * v11
-        )
+        """Bilinear blend of four scalar corner reads (no clamping)."""
+        out = self.weights[0] * corners[0]
+        term = np.empty_like(out)
+        for w, v in zip(self.weights[1:], corners[1:]):
+            out += np.multiply(w, v, out=term)
+        return out
 
     def sample(self, values: np.ndarray) -> np.ndarray:
         """Bilinear samples of (S, h, w) values, clamped into the hull of
@@ -171,46 +178,30 @@ class Taps:
         not just to roundoff."""
         corners = self.corners(values)
         out = self.lerp(corners)
-        v00, v10, v01, v11 = corners
-        lo = np.minimum(np.minimum(v00, v10), np.minimum(v01, v11))
-        hi = np.maximum(np.maximum(v00, v10), np.maximum(v01, v11))
-        return np.clip(out, lo, hi)
+        return np.clip(out, corners.min(axis=0), corners.max(axis=0), out=out)
 
-    def position_gradient(self, corners, upstream: np.ndarray | None = None):
-        """d(lerp)/d(position) as (d/dx, d/dy), from cached corner reads.
+    def position_gradient(self, corners):
+        """d(lerp)/d(position) as (d/dx, d/dy), from four scalar corner reads.
 
         Exact wherever the fractional parts are strictly inside (0, 1); at
         lattice points floor() puts the position at fx=0 of the right cell,
         so the result is the right-sided derivative. Fully clamped reads have
         both corners equal and the derivative correctly vanishes.
-
-        With ``upstream`` (shaped like the channelled corner reads) each
-        corner difference is contracted with it over the channel axis, so no
-        per-channel gradient tensor is built.
         """
         v00, v10, v01, v11 = corners
-
-        def diff(a, b):
-            return a - b if upstream is None else (upstream * (a - b)).sum(axis=-1)
-
-        fx, fy = self.fx, self.fy
-        ddx = (1.0 - fy) * diff(v10, v00) + fy * diff(v11, v01)
-        ddy = (1.0 - fx) * diff(v01, v00) + fx * diff(v11, v10)
+        ddx = self.gy * (v10 - v00)
+        ddx += self.fy * (v11 - v01)
+        ddy = self.gx * (v01 - v00)
+        ddy += self.fx * (v11 - v10)
         return ddx, ddy
 
     def scatter(self, grad: np.ndarray, shape) -> np.ndarray:
-        """Adjoint of :meth:`lerp` for scalar values: accumulate per-tap
-        gradients into an (S, h, w) ``shape`` stack."""
-        fx, fy = self.fx, self.fy
-        w00 = (1.0 - fx) * (1.0 - fy) * grad
-        w10 = fx * (1.0 - fy) * grad
-        w01 = (1.0 - fx) * fy * grad
-        w11 = fx * fy * grad
-        flat = np.concatenate(
-            [self.flat00.ravel(), self.flat10.ravel(), self.flat01.ravel(), self.flat11.ravel()]
-        )
-        weights = np.concatenate([w00.ravel(), w10.ravel(), w01.ravel(), w11.ravel()])
-        return np.bincount(flat, weights=weights, minlength=int(np.prod(shape))).reshape(shape)
+        """Adjoint of :meth:`lerp`: accumulate per-tap gradients into an
+        (S, h, w) ``shape`` stack."""
+        weights = self.weights * grad
+        return np.bincount(
+            self.index.ravel(), weights=weights.ravel(), minlength=int(np.prod(shape))
+        ).reshape(shape)
 
 
 def bilinear_sample(g: Grid, p, c: int = 0) -> float:

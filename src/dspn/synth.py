@@ -29,7 +29,6 @@ class SceneSpec:
     height: int = 64
     depth_min: float = 1.0
     depth_max: float = 10.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in SCENE_KINDS:
@@ -46,7 +45,6 @@ class SparseSpec:
     noise_sigma: float = 0.02
     outlier_fraction: float = 0.10
     outlier_sigma: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.density <= 1.0:
@@ -125,9 +123,9 @@ def _composite(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
     return depth
 
 
-def gen_scene(spec: SceneSpec) -> Grid:
+def gen_scene(spec: SceneSpec, seed: int) -> Grid:
     """Dense ground-truth depth for a scene spec; bit-identical per seed."""
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     if spec.kind == "plane":
         depth = np.full((spec.height, spec.width), 0.5 * (spec.depth_min + spec.depth_max))
     elif spec.kind == "slope":
@@ -146,14 +144,14 @@ def gen_scene(spec: SceneSpec) -> Grid:
 MIN_SENSOR_DEPTH = 1e-3
 
 
-def sample_sparse(dstar: Grid, spec: SparseSpec):
+def sample_sparse(dstar: Grid, spec: SparseSpec, seed: int):
     """Independent per-pixel sampling with Gaussian noise and sparse outliers.
 
     Returns (Ds, m): measurements (0 where missing) and the binary mask.
     All random fields are drawn full-grid in a fixed order, so the mask does
     not depend on the noise settings.
     """
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     h, w = dstar.height, dstar.width
     keep = rng.random((h, w)) < spec.density
     base_noise = rng.standard_normal((h, w))
@@ -290,30 +288,27 @@ class Scene:
 def prepare_scene(
     scene_spec: SceneSpec,
     sparse_spec: SparseSpec,
+    scene_seed: int,
+    sparse_seed: int,
     feature_channels: int = 16,
     conf_cfg: ConfidenceConfig | None = None,
 ) -> Scene:
-    dstar = gen_scene(scene_spec)
-    ds, m = sample_sparse(dstar, sparse_spec)
+    dstar = gen_scene(scene_spec, scene_seed)
+    ds, m = sample_sparse(dstar, sparse_spec, sparse_seed)
     d0 = coarse_predict(ds, m)
     features = build_features(d0, m, feature_channels)
     conf = heuristic_confidence(ds, m, conf_cfg or ConfidenceConfig(), coarse=d0)
     return Scene(dstar=dstar, ds=ds, m=m, d0=d0, features=features, conf=conf)
 
 
-def suite_scene_specs(
-    base: SceneSpec, sparse: SparseSpec, count: int, base_seed: int = 0
-):
-    """Seed scheme for a scene suite: scene i uses seeds derived from
-    (base_seed, i) for the geometry and (base_seed, i, 1) for the sampling."""
-    pairs = []
-    for i in range(count):
-        scene_seed = int(np.random.SeedSequence([base_seed, i]).generate_state(1)[0])
-        sparse_seed = int(np.random.SeedSequence([base_seed, i, 1]).generate_state(1)[0])
-        pairs.append(
-            (
-                SceneSpec(base.kind, base.width, base.height, base.depth_min, base.depth_max, scene_seed),
-                SparseSpec(sparse.density, sparse.noise_sigma, sparse.outlier_fraction, sparse.outlier_sigma, sparse_seed),
-            )
+def suite_seeds(count: int, base_seed: int = 0) -> list:
+    """Seed scheme for a scene suite: scene i takes a (scene, sparse) seed
+    pair derived from (base_seed, i) for the geometry and (base_seed, i, 1)
+    for the sampling."""
+    return [
+        (
+            int(np.random.SeedSequence([base_seed, i]).generate_state(1)[0]),
+            int(np.random.SeedSequence([base_seed, i, 1]).generate_state(1)[0]),
         )
-    return pairs
+        for i in range(count)
+    ]

@@ -258,8 +258,10 @@ def test_criterion_8_performance_floor(tmp_path):
     from dspn.synth import SceneSpec, SparseSpec, prepare_scene
 
     scene = prepare_scene(
-        SceneSpec("composite", 256, 256, 1.0, 10.0, seed=5),
-        SparseSpec(0.05, 0.02, 0.1, 1.0, seed=6),
+        SceneSpec("composite", 256, 256, 1.0, 10.0),
+        SparseSpec(0.05, 0.02, 0.1, 1.0),
+        scene_seed=5,
+        sparse_seed=6,
         feature_channels=6,
     )
     emb = EmbeddingParams.init(6, 6, seed=1)

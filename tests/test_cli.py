@@ -114,6 +114,7 @@ class TestConfig:
         "gradcheck_instances=0", "hidden_channels=0", "inputs.sparse=5", "inputs=5", "seed=-1",
         'train="direct"', "train.mode=direct", "loss_weights.coarse=1", "loss_weights.confidence=1",
         "gradcheck_tol=-1", "gamma=NaN", "train.lr=Infinity", "inputs.gt=gt.pgm",
+        "scene.seed=5", "sparse.seed=9",
     ])
     def test_bad_override_exits_2_before_any_work(self, override, monkeypatch, capsys):
         monkeypatch.setattr(cli, "build_suite", _refuse_scenes)

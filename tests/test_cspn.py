@@ -83,6 +83,16 @@ class TestStep:
         ref = cspn_step_ref(values, raw, 3)
         assert np.abs(out.channel(0) - ref).max() <= 1e-12
 
+    def test_field_keeps_the_stencil_it_was_built_from(self):
+        # the field normalises once, so it must not alias the caller's array
+        values, raw = rand_instance(3)
+        st = AffinityStencilField(3, raw)
+        original = raw.copy()
+        raw[...] = 0.0
+        out = cspn_step(Grid(values), st)
+        assert np.array_equal(st.raw, original)
+        assert np.abs(out.channel(0) - cspn_step_ref(values, original, 3)).max() <= 1e-12
+
     def test_k5_matches_scalar_oracle(self):
         values, raw = rand_instance(77, h=7, w=6, k=5)
         out = cspn_step(Grid(values), AffinityStencilField(5, raw))

@@ -14,7 +14,7 @@ from dspn import (
     dspn_step,
     offset_estimator,
 )
-from dspn.deformable import affinity_forward
+from dspn.deformable import affinity_forward, affinity_forward_batched
 from dspn.errors import InvalidPosition, ShapeMismatch
 
 from oracles import affinity_ref, dspn_refine_ref, dspn_step_ref, ring_offsets
@@ -96,6 +96,19 @@ class TestAffinity:
             w = compute_affinity(features, emb, (x, y), nbrs)
             assert np.abs(state.w_nb[0, y, x] - w.neighbor_weights).max() <= 1e-12
             assert abs(state.w_self[0, y, x] - w.self_weight) <= 1e-12
+
+    def test_scene_stack_matches_single_scene_calls(self):
+        # three different scenes in one stack: a wrong flat stack index in a
+        # gather would read another scene's features
+        setups = [rand_setup(seed) for seed in (7, 8, 9)]
+        emb = setups[0][3]
+        F = np.stack([features.data for _, features, _, _, _ in setups])
+        delta = np.stack([offsets.delta for _, _, offsets, _, _ in setups])
+        stacked = affinity_forward_batched(F, delta, emb, 3)
+        for i in range(3):
+            single = affinity_forward_batched(F[i : i + 1], delta[i : i + 1], emb, 3)
+            for got, want in ((stacked.w_nb[i], single.w_nb[0]), (stacked.w_self[i], single.w_self[0])):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_max_shift_equals_naive_softmax(self):
         values, features, offsets, emb, _ = rand_setup(6)

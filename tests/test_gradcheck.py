@@ -4,9 +4,11 @@ import pytest
 from dspn import EmbeddingParams, Grid, OffsetField
 from dspn.deformable import (
     OffsetEstimatorParams,
+    affinity_forward_batched,
     dspn_refine_forward,
     offset_estimator_backward,
     offset_estimator_forward,
+    refine_forward_batched,
 )
 from dspn.errors import Diverged, InvalidConfig, InvalidState, NonFiniteLoss
 from dspn.gradcheck import (
@@ -66,6 +68,37 @@ class TestBackward:
         grads = dspn_backward(np.zeros((8, 8)), state)
         for g in grads.values():
             assert np.array_equal(g, np.zeros_like(g))
+
+    def test_scene_stack_matches_single_scene_calls(self):
+        # three different scenes with off-lattice offsets and one shared
+        # embedding: map and offset gradients are per scene, embedding
+        # gradients sum over the stack
+        insts = [make_gradcheck_instance(seed=s) for s in (11, 12, 13)]
+        emb = insts[0].emb
+
+        def backward(batch):
+            F = np.stack([inst.features.data for inst in batch])
+            delta = np.stack([inst.offsets.delta for inst in batch])
+            aff = affinity_forward_batched(F, delta, emb, 3)
+            state = refine_forward_batched(
+                np.stack([inst.d0.channel(0) for inst in batch]),
+                np.stack([inst.ds.channel(0) for inst in batch]),
+                np.stack([inst.m.channel(0) * inst.conf.channel(0) for inst in batch]),
+                aff, 2,
+            )
+            return dspn_backward(state.out - np.stack([inst.target.channel(0) for inst in batch]), state)
+
+        stacked = backward(insts)
+        singles = [backward([inst]) for inst in insts]
+
+        def close(got, want):
+            return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+        for i, single in enumerate(singles):
+            assert close(stacked["h0"][i], single["h0"][0])
+            assert close(stacked["offsets"][i], single["offsets"][0])
+        for key in ("g_theta", "g_phi"):
+            assert close(stacked[key], sum(single[key] for single in singles))
 
     def test_missing_state_rejected(self):
         with pytest.raises(InvalidState):
@@ -190,11 +223,8 @@ def test_lattice_position_gradient_is_right_sided():
 
 @pytest.fixture(scope="module")
 def scenes():
-    specs = [
-        (SceneSpec("step", 12, 12, 1.0, 5.0, seed=s), SparseSpec(0.25, 0.0, 0.0, 0.0, seed=s + 50))
-        for s in range(2)
-    ]
-    return [prepare_scene(sc, sp, feature_channels=4) for sc, sp in specs]
+    scene, sparse = SceneSpec("step", 12, 12, 1.0, 5.0), SparseSpec(0.25, 0.0, 0.0, 0.0)
+    return [prepare_scene(scene, sparse, s, s + 50, feature_channels=4) for s in range(2)]
 
 
 class TestToyFit:

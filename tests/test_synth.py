@@ -13,28 +13,28 @@ from dspn import (
     sample_sparse,
 )
 from dspn.errors import EmptySparse, InvalidMask, InvalidSpec, ShapeMismatch
-from dspn.synth import _nearest_valid_fill, box_blur3, prepare_scene, suite_scene_specs
+from dspn.synth import _nearest_valid_fill, box_blur3, prepare_scene, suite_seeds
 
 from oracles import coarse_predict_ref, nearest_fill_ref
 
 
 class TestScenes:
     def test_plane_is_constant_midrange(self):
-        g = gen_scene(SceneSpec("plane", 16, 16, 4.0, 6.0, seed=0))
+        g = gen_scene(SceneSpec("plane", 16, 16, 4.0, 6.0), seed=0)
         assert np.all(g.channel(0) == 5.0)
 
     def test_same_seed_bit_identical(self):
-        a = gen_scene(SceneSpec("composite", 32, 32, 1.0, 10.0, seed=9))
-        b = gen_scene(SceneSpec("composite", 32, 32, 1.0, 10.0, seed=9))
+        a = gen_scene(SceneSpec("composite", 32, 32, 1.0, 10.0), seed=9)
+        b = gen_scene(SceneSpec("composite", 32, 32, 1.0, 10.0), seed=9)
         assert np.array_equal(a.channel(0), b.channel(0))
 
     def test_step_scene_two_exact_depths(self):
-        spec = SceneSpec("step", 24, 24, 2.0, 7.0, seed=3)
-        vals = gen_scene(spec).channel(0)
+        spec = SceneSpec("step", 24, 24, 2.0, 7.0)
+        vals = gen_scene(spec, seed=3).channel(0)
         assert set(np.unique(vals)) == {2.0, 7.0}
 
     def test_step_scene_has_axis_aligned_and_diagonal_boundaries(self):
-        vals = gen_scene(SceneSpec("step", 24, 24, 2.0, 7.0, seed=4)).channel(0)
+        vals = gen_scene(SceneSpec("step", 24, 24, 2.0, 7.0), seed=4).channel(0)
         # boundary column per row: constant in the top half, marching by one
         # per row below (until the diagonal leaves the image)
         has_both = (vals == 7.0).any(axis=1) & (vals == 2.0).any(axis=1)
@@ -46,8 +46,8 @@ class TestScenes:
 
     @pytest.mark.parametrize("kind", ["plane", "step", "slope", "sphere-cap", "composite"])
     def test_depths_within_declared_range(self, kind):
-        spec = SceneSpec(kind, 20, 18, 1.5, 8.0, seed=11)
-        vals = gen_scene(spec).channel(0)
+        spec = SceneSpec(kind, 20, 18, 1.5, 8.0)
+        vals = gen_scene(spec, seed=11).channel(0)
         assert vals.min() >= 1.5 and vals.max() <= 8.0
 
     def test_invalid_specs_rejected(self):
@@ -65,37 +65,37 @@ class TestScenes:
 
 class TestSampling:
     def test_full_density_no_noise_is_identity(self):
-        dstar = gen_scene(SceneSpec("composite", 16, 16, 1.0, 9.0, seed=1))
-        ds, m = sample_sparse(dstar, SparseSpec(1.0, 0.0, 0.0, 0.0, seed=2))
+        dstar = gen_scene(SceneSpec("composite", 16, 16, 1.0, 9.0), seed=1)
+        ds, m = sample_sparse(dstar, SparseSpec(1.0, 0.0, 0.0, 0.0), seed=2)
         assert np.array_equal(ds.channel(0), dstar.channel(0))
         assert np.all(m.channel(0) == 1.0)
 
     def test_mask_reproducible_and_seed_sensitive(self):
-        dstar = gen_scene(SceneSpec("slope", 32, 32, 1.0, 9.0, seed=5))
-        _, m1 = sample_sparse(dstar, SparseSpec(0.1, 0.0, 0.0, 0.0, seed=7))
-        _, m2 = sample_sparse(dstar, SparseSpec(0.1, 0.0, 0.0, 0.0, seed=7))
-        _, m3 = sample_sparse(dstar, SparseSpec(0.1, 0.0, 0.0, 0.0, seed=8))
+        dstar = gen_scene(SceneSpec("slope", 32, 32, 1.0, 9.0), seed=5)
+        _, m1 = sample_sparse(dstar, SparseSpec(0.1, 0.0, 0.0, 0.0), seed=7)
+        _, m2 = sample_sparse(dstar, SparseSpec(0.1, 0.0, 0.0, 0.0), seed=7)
+        _, m3 = sample_sparse(dstar, SparseSpec(0.1, 0.0, 0.0, 0.0), seed=8)
         assert np.array_equal(m1.channel(0), m2.channel(0))
         assert not np.array_equal(m1.channel(0), m3.channel(0))
 
     def test_unnoised_kept_pixels_match_ground_truth(self):
-        dstar = gen_scene(SceneSpec("composite", 24, 24, 1.0, 9.0, seed=6))
-        ds, m = sample_sparse(dstar, SparseSpec(0.2, 0.0, 0.0, 0.0, seed=9))
+        dstar = gen_scene(SceneSpec("composite", 24, 24, 1.0, 9.0), seed=6)
+        ds, m = sample_sparse(dstar, SparseSpec(0.2, 0.0, 0.0, 0.0), seed=9)
         mask = m.channel(0)
         assert np.array_equal(ds.channel(0)[mask == 1.0], dstar.channel(0)[mask == 1.0])
         assert np.all(ds.channel(0)[mask == 0.0] == 0.0)
 
     def test_empirical_density(self):
-        dstar = gen_scene(SceneSpec("plane", 64, 64, 4.0, 6.0, seed=0))
+        dstar = gen_scene(SceneSpec("plane", 64, 64, 4.0, 6.0), seed=0)
         fractions = [
-            sample_sparse(dstar, SparseSpec(0.05, 0.0, 0.0, 0.0, seed=s))[1].channel(0).mean()
+            sample_sparse(dstar, SparseSpec(0.05, 0.0, 0.0, 0.0), seed=s)[1].channel(0).mean()
             for s in range(100)
         ]
         assert abs(np.mean(fractions) - 0.05) <= 0.01
 
     def test_outliers_only_on_kept_pixels(self):
-        dstar = gen_scene(SceneSpec("plane", 32, 32, 4.0, 6.0, seed=0))
-        ds, m = sample_sparse(dstar, SparseSpec(0.3, 0.0, 0.5, 2.0, seed=4))
+        dstar = gen_scene(SceneSpec("plane", 32, 32, 4.0, 6.0), seed=0)
+        ds, m = sample_sparse(dstar, SparseSpec(0.3, 0.0, 0.5, 2.0), seed=4)
         mask = m.channel(0)
         assert np.all(ds.channel(0)[mask == 0.0] == 0.0)
         # roughly half of the kept pixels moved
@@ -105,8 +105,8 @@ class TestSampling:
 
 class TestCoarse:
     def test_full_mask_reduces_to_double_blur(self):
-        dstar = gen_scene(SceneSpec("composite", 16, 16, 1.0, 9.0, seed=2))
-        ds, m = sample_sparse(dstar, SparseSpec(1.0, 0.0, 0.0, 0.0, seed=3))
+        dstar = gen_scene(SceneSpec("composite", 16, 16, 1.0, 9.0), seed=2)
+        ds, m = sample_sparse(dstar, SparseSpec(1.0, 0.0, 0.0, 0.0), seed=3)
         d0 = coarse_predict(ds, m)
         expected = box_blur3(box_blur3(dstar.channel(0)))
         assert np.abs(d0.channel(0) - expected).max() <= 1e-15
@@ -141,8 +141,8 @@ class TestCoarse:
             coarse_predict(Grid.full(4, 4, 2.0), Grid.full(3, 3, 1.0))
 
     def test_output_within_valid_range(self):
-        dstar = gen_scene(SceneSpec("composite", 24, 24, 1.0, 9.0, seed=8))
-        ds, m = sample_sparse(dstar, SparseSpec(0.1, 0.02, 0.0, 0.0, seed=9))
+        dstar = gen_scene(SceneSpec("composite", 24, 24, 1.0, 9.0), seed=8)
+        ds, m = sample_sparse(dstar, SparseSpec(0.1, 0.02, 0.0, 0.0), seed=9)
         d0 = coarse_predict(ds, m).channel(0)
         valid = ds.channel(0)[m.channel(0) == 1.0]
         assert d0.min() >= valid.min() - 1e-12
@@ -254,8 +254,10 @@ class TestFeatures:
 
     def test_all_pipeline_outputs_finite(self):
         scene = prepare_scene(
-            SceneSpec("composite", 32, 32, 1.0, 10.0, seed=3),
-            SparseSpec(0.05, 0.02, 0.1, 1.0, seed=4),
+            SceneSpec("composite", 32, 32, 1.0, 10.0),
+            SparseSpec(0.05, 0.02, 0.1, 1.0),
+            scene_seed=3,
+            sparse_seed=4,
             feature_channels=16,
         )
         for g in (scene.dstar, scene.ds, scene.m, scene.d0, scene.features, scene.conf):
@@ -263,9 +265,7 @@ class TestFeatures:
 
 
 def test_suite_specs_are_distinct_and_deterministic():
-    base = SceneSpec("composite", 16, 16, 1.0, 10.0, seed=0)
-    sparse = SparseSpec(seed=0)
-    a = suite_scene_specs(base, sparse, 5, base_seed=42)
-    b = suite_scene_specs(base, sparse, 5, base_seed=42)
-    assert [sc.seed for sc, _ in a] == [sc.seed for sc, _ in b]
-    assert len({sc.seed for sc, _ in a}) == 5
+    a = suite_seeds(5, base_seed=42)
+    b = suite_seeds(5, base_seed=42)
+    assert [sc for sc, _ in a] == [sc for sc, _ in b]
+    assert len({sc for sc, _ in a}) == 5
