@@ -26,7 +26,6 @@ from .deformable import (
 from .gradcheck import (
     FitParams,
     GradReport,
-    ParamVector,
     dspn_backward,
     finite_diff_grad,
     toy_fit,
@@ -59,7 +58,6 @@ __all__ = [
     "NormalizedStencil",
     "OffsetEstimatorParams",
     "OffsetField",
-    "ParamVector",
     "Scene",
     "SceneSpec",
     "SparseSpec",

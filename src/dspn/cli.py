@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .confidence import ConfidenceConfig, heuristic_confidence
+from .confidence import ConfidenceConfig
 from .cspn import AffinityStencilField, check_kernel_size, cspn_refine
 from .deformable import EmbeddingParams, OffsetEstimatorParams, OffsetField, dspn_refine, offset_estimator
 from .errors import DspnError, InvalidConfig
@@ -34,15 +34,7 @@ from .gradcheck import (
 from .grid import Grid
 from .io import read_grd, read_pgm16, write_grd
 from .metrics import LossWeights, eval_metrics
-from .synth import (
-    Scene,
-    SceneSpec,
-    SparseSpec,
-    build_features,
-    coarse_predict,
-    prepare_scene,
-    suite_seeds,
-)
+from .synth import Scene, SceneSpec, SparseSpec, build_scene, prepare_scene, suite_seeds
 
 MODES = ("generate", "complete", "eval", "gradcheck", "ablate")
 REFINE_KINDS = ("none", "cspn", "dspn")
@@ -110,6 +102,13 @@ class RunConfig:
                 raise InvalidConfig(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not (np.isfinite(self.gradcheck_tol) and self.gradcheck_tol >= 0.0):
             raise InvalidConfig(f"gradcheck_tol must be finite and >= 0, got {self.gradcheck_tol}")
+        if (self.mode == "complete" and self.inputs.sparse and not self.inputs.gt
+                and self.refine == "dspn" and self.train.steps > 0):
+            # without ground truth the fit would target the coarse map
+            raise InvalidConfig(
+                "complete from inputs.sparse trains only against inputs.gt: "
+                "set train.steps=0 or give inputs.gt"
+            )
 
 
 _KINDS = {int: "an integer", float: "a finite number", str: "a string"}
@@ -311,11 +310,8 @@ def _load_input_grid(path: str) -> Grid:
 def _scene_from_inputs(cfg: RunConfig) -> Scene:
     ds = _load_input_grid(cfg.inputs.sparse)
     m = Grid((ds.channel(0) > 0.0).astype(np.float64))
-    d0 = coarse_predict(ds, m)
-    features = build_features(d0, m, cfg.feature_channels)
-    conf = heuristic_confidence(ds, m, ConfidenceConfig(cfg.gamma))
-    dstar = _load_input_grid(cfg.inputs.gt) if cfg.inputs.gt else d0
-    return Scene(dstar=dstar, ds=ds, m=m, d0=d0, features=features, conf=conf)
+    dstar = _load_input_grid(cfg.inputs.gt) if cfg.inputs.gt else None
+    return build_scene(dstar, ds, m, cfg.feature_channels, ConfidenceConfig(cfg.gamma))
 
 
 def run_complete(cfg: RunConfig) -> int:

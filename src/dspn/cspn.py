@@ -51,8 +51,6 @@ class AffinityStencilField:
         n = kernel_size * kernel_size - 1
         if arr.ndim != 3 or arr.shape[2] != n:
             raise InvalidAffinity(f"expected stencil shape (h, w, {n}), got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise InvalidAffinity("stencil contains NaN or Inf")
         self.kernel_size = kernel_size
         self.raw = arr
         self.norm = normalize_stencil(arr)

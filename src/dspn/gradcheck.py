@@ -32,62 +32,35 @@ from .metrics import LossWeights
 REL_ERR_FLOOR = 1e-8
 
 
-class ParamVector:
-    """Flat view of a named set of arrays, with the recipe to rebuild them."""
+def finite_diff_grad(loss_fn, params: dict, eps: float = 1e-4) -> dict:
+    """Central-difference gradient of a scalar loss over named arrays.
 
-    __slots__ = ("values", "layout")
-
-    def __init__(self, values: np.ndarray, layout):
-        self.values = np.asarray(values, dtype=np.float64)
-        self.layout = tuple((name, tuple(shape)) for name, shape in layout)
-        expected = sum(int(np.prod(shape)) for _, shape in self.layout)
-        if self.values.ndim != 1 or self.values.size != expected:
-            raise InvalidConfig(f"flat vector has {self.values.size} entries, layout wants {expected}")
-
-    @classmethod
-    def from_dict(cls, params: dict) -> "ParamVector":
-        layout = [(name, np.asarray(arr).shape) for name, arr in params.items()]
-        if layout:
-            values = np.concatenate([np.asarray(arr, dtype=np.float64).ravel() for arr in params.values()])
-        else:
-            values = np.empty(0)
-        return cls(values, layout)
-
-    def to_dict(self) -> dict:
-        out = {}
-        pos = 0
-        for name, shape in self.layout:
-            size = int(np.prod(shape))
-            out[name] = self.values[pos : pos + size].reshape(shape).copy()
-            pos += size
-        return out
-
-    def replaced(self, values: np.ndarray) -> "ParamVector":
-        return ParamVector(values, self.layout)
-
-
-def finite_diff_grad(loss_fn, p: ParamVector, eps: float = 1e-4, scale_eps: bool = True) -> np.ndarray:
-    """Central-difference gradient of a scalar loss, one coordinate at a time.
-
-    The probe size scales with the coordinate magnitude (eps * max(1, |p_i|))
-    to avoid cancellation on large parameters.
+    Probes one entry at a time, array by array in the dict's order, with a
+    step that scales with the entry (eps * max(1, |p_i|)) to avoid
+    cancellation on large parameters. Returns a dict with the keys and
+    shapes of ``params``. ``loss_fn`` gets one probe dict whose arrays are
+    changed in place between calls, so it must not keep references to them.
     """
     if eps <= 0.0:
         raise InvalidConfig(f"eps must be positive, got {eps}")
-    base = p.values
-    grad = np.empty_like(base)
-    probe = base.copy()
-    for i in range(base.size):
-        step = eps * max(1.0, abs(base[i])) if scale_eps else eps
-        probe[i] = base[i] + step
-        up = float(loss_fn(p.replaced(probe)))
-        probe[i] = base[i] - step
-        down = float(loss_fn(p.replaced(probe)))
-        probe[i] = base[i]
-        if not (np.isfinite(up) and np.isfinite(down)):
-            raise NonFiniteLoss(f"loss is not finite near coordinate {i}")
-        grad[i] = (up - down) / (2.0 * step)
-    return grad
+    probe = {name: np.array(arr, dtype=np.float64, order="C") for name, arr in params.items()}
+    grads = {}
+    for name, arr in probe.items():
+        flat = arr.reshape(-1)  # a view: writes reach the probe
+        grad = np.empty(flat.size)
+        for i in range(flat.size):
+            base = flat[i]
+            step = eps * max(1.0, abs(base))
+            flat[i] = base + step
+            up = float(loss_fn(probe))
+            flat[i] = base - step
+            down = float(loss_fn(probe))
+            flat[i] = base
+            if not (np.isfinite(up) and np.isfinite(down)):
+                raise NonFiniteLoss(f"loss is not finite near entry {i} of {name!r}")
+            grad[i] = (up - down) / (2.0 * step)
+        grads[name] = grad.reshape(arr.shape)
+    return grads
 
 
 def relative_errors(analytic: np.ndarray, fd: np.ndarray) -> np.ndarray:
@@ -97,44 +70,28 @@ def relative_errors(analytic: np.ndarray, fd: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GradReport:
-    """Comparison of analytic against finite-difference gradients."""
+    """Analytic against finite-difference gradients, both keyed by group."""
 
-    analytic: np.ndarray
-    fd: np.ndarray
-    layout: tuple
-    max_rel_err: float
-    max_abs_err: float
-
-    @classmethod
-    def compare(cls, analytic: ParamVector, fd: np.ndarray) -> "GradReport":
-        rel = relative_errors(analytic.values, fd)
-        return cls(
-            analytic=analytic.values,
-            fd=fd,
-            layout=analytic.layout,
-            max_rel_err=float(rel.max()) if rel.size else 0.0,
-            max_abs_err=float(np.abs(analytic.values - fd).max()) if rel.size else 0.0,
-        )
+    analytic: dict
+    fd: dict
 
     def per_group(self) -> dict:
-        """Group name -> (max_rel_err, max_abs_err) over that group's slice."""
-        out = {}
-        pos = 0
-        for name, shape in self.layout:
-            size = int(np.prod(shape))
-            a = self.analytic[pos : pos + size]
-            f = self.fd[pos : pos + size]
-            rel = relative_errors(a, f)
-            out[name] = (float(rel.max()), float(np.abs(a - f).max()))
-            pos += size
-        return out
+        """Group name -> (max_rel_err, max_abs_err) over that group."""
+        return {
+            name: (float(relative_errors(a, self.fd[name]).max()), float(np.abs(a - self.fd[name]).max()))
+            for name, a in self.analytic.items()
+        }
+
+    @property
+    def max_rel_err(self) -> float:
+        return max((rel for rel, _ in self.per_group().values()), default=0.0)
 
 
 def dspn_backward(grad_out, state: RefineState, detach_weights: bool = False) -> dict:
     """Reverse-mode gradients of a recorded refine pass.
 
-    ``grad_out`` is the loss gradient at the refined map(s): a Grid, an
-    (h, w) array, or an (S, h, w) stack matching the forward state. Returns
+    ``grad_out`` is the loss gradient at the refined map(s): an (h, w)
+    array, or an (S, h, w) stack matching the forward state. Returns
     gradients for the initial map ("h0"), both embedding matrices (summed
     over the batch), and the offset field. With ``detach_weights`` the
     affinity is treated as constant, so the map gradient is exactly the
@@ -145,10 +102,7 @@ def dspn_backward(grad_out, state: RefineState, detach_weights: bool = False) ->
     if len(state.steps) != state.iters:
         raise InvalidState("forward state was built without per-step records")
     aff = state.affinity
-    if isinstance(grad_out, Grid):
-        g = grad_out.channel(0).copy()
-    else:
-        g = np.array(grad_out, dtype=np.float64, copy=True)
+    g = np.array(grad_out, dtype=np.float64, copy=True)
     squeeze = g.ndim == 2
     if squeeze:
         g = g[np.newaxis]
@@ -256,60 +210,41 @@ def make_gradcheck_instance(
     )
 
 
-def refine_loss(inst: GradcheckInstance, d0, offsets, emb) -> float:
+def instance_params(inst: GradcheckInstance) -> dict:
+    """The instance's parameters by group, keyed like ``dspn_backward``'s result."""
+    return {
+        "h0": inst.d0.channel(0),
+        "g_theta": inst.emb.g_theta,
+        "g_phi": inst.emb.g_phi,
+        "offsets": inst.offsets.delta,
+    }
+
+
+def refine_loss(inst: GradcheckInstance, params: dict) -> float:
+    """Mean squared error to the target of a refine pass at ``params``."""
     refined, _ = dspn_refine_forward(
-        d0, inst.ds, inst.m, inst.conf, inst.features, offsets, emb, inst.iters,
+        Grid(params["h0"]), inst.ds, inst.m, inst.conf, inst.features,
+        OffsetField(inst.offsets.kernel_size, params["offsets"]),
+        EmbeddingParams(params["g_theta"], params["g_phi"]), inst.iters,
         keep_records=False,
     )
     diff = refined.channel(0) - inst.target.channel(0)
     return float(np.mean(diff * diff))
 
 
-def instance_params(inst: GradcheckInstance) -> ParamVector:
-    return ParamVector.from_dict(
-        {
-            "h0": inst.d0.channel(0),
-            "g_theta": inst.emb.g_theta,
-            "g_phi": inst.emb.g_phi,
-            "offsets": inst.offsets.delta,
-        }
-    )
-
-
-def _loss_from_vector(inst: GradcheckInstance, p: ParamVector) -> float:
-    d = p.to_dict()
-    return refine_loss(
-        inst,
-        Grid(d["h0"]),
-        OffsetField(inst.offsets.kernel_size, d["offsets"]),
-        EmbeddingParams(d["g_theta"], d["g_phi"]),
-    )
-
-
-def analytic_refine_grads(inst: GradcheckInstance) -> ParamVector:
+def analytic_refine_grads(inst: GradcheckInstance) -> dict:
     refined, state = dspn_refine_forward(
         inst.d0, inst.ds, inst.m, inst.conf, inst.features,
         inst.offsets, inst.emb, inst.iters, keep_records=True,
     )
     resid = refined.channel(0) - inst.target.channel(0)
-    upstream = 2.0 * resid / resid.size
-    grads = dspn_backward(upstream, state)
-    return ParamVector.from_dict(
-        {
-            "h0": grads["h0"],
-            "g_theta": grads["g_theta"],
-            "g_phi": grads["g_phi"],
-            "offsets": grads["offsets"],
-        }
-    )
+    return dspn_backward(2.0 * resid / resid.size, state)
 
 
 def check_instance_gradients(inst: GradcheckInstance, eps: float = 1e-4) -> GradReport:
     """Compare analytic and finite-difference gradients on one instance."""
-    analytic = analytic_refine_grads(inst)
-    p = instance_params(inst)
-    fd = finite_diff_grad(lambda v: _loss_from_vector(inst, v), p, eps=eps)
-    return GradReport.compare(analytic, fd)
+    fd = finite_diff_grad(lambda p: refine_loss(inst, p), instance_params(inst), eps=eps)
+    return GradReport(analytic_refine_grads(inst), fd)
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +252,14 @@ def check_instance_gradients(inst: GradcheckInstance, eps: float = 1e-4) -> Grad
 # ---------------------------------------------------------------------------
 
 
+ESTIMATOR_KEYS = ("w1", "b1", "w2", "b2", "w3", "b3")
+
+
 @dataclass
 class FitParams:
     """Trainable state for the toy fitter: the embeddings and the
-    three-layer estimator that computes per-scene offsets from features."""
+    three-layer estimator that computes per-scene offsets from features.
+    Its arrays are named g_theta, g_phi and ESTIMATOR_KEYS."""
 
     emb: EmbeddingParams
     estimator: OffsetEstimatorParams
@@ -330,6 +269,14 @@ class FitParams:
             emb=EmbeddingParams(self.emb.g_theta.copy(), self.emb.g_phi.copy()),
             estimator=self.estimator.copy(),
         )
+
+    def holder(self, name: str):
+        """The parameter object that holds the array called ``name``."""
+        return self.estimator if name in ESTIMATOR_KEYS else self.emb
+
+    def arrays(self) -> dict:
+        """Every trainable array by name."""
+        return {name: getattr(self.holder(name), name) for name in ("g_theta", "g_phi", *ESTIMATOR_KEYS)}
 
 
 @dataclass
@@ -354,16 +301,14 @@ def _stack_scenes(scenes) -> _SceneStack:
 
 
 FIT_CHUNK = 10  # scenes per batched forward/backward; bounds peak memory
-ESTIMATOR_KEYS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
 def _fit_loss_and_grads(params: FitParams, stack: _SceneStack, iters: int, weight: float,
                         kernel_size: int, compute_grads: bool = True):
+    """Mean loss over the stack and its gradient, keyed like ``params.arrays()``."""
     total_scenes = stack.d0.shape[0]
     loss = 0.0
-    d_theta = np.zeros_like(params.emb.g_theta)
-    d_phi = np.zeros_like(params.emb.g_phi)
-    d_est = {k: np.zeros_like(getattr(params.estimator, k)) for k in ESTIMATOR_KEYS}
+    grads = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
 
     px_per_scene = stack.d0.shape[1] * stack.d0.shape[2]
     for start in range(0, total_scenes, FIT_CHUNK):
@@ -380,12 +325,11 @@ def _fit_loss_and_grads(params: FitParams, stack: _SceneStack, iters: int, weigh
         if not compute_grads:
             continue
         upstream = weight * 2.0 * resid / px_per_scene / total_scenes
-        grads = dspn_backward(upstream, state)
-        d_theta += grads["g_theta"]
-        d_phi += grads["g_phi"]
-        for k, v in offset_estimator_backward(grads["offsets"], cache, params.estimator).items():
-            d_est[k] += v
-    return loss / total_scenes, {"g_theta": d_theta, "g_phi": d_phi, "estimator": d_est}
+        chunk = dspn_backward(upstream, state)
+        chunk.update(offset_estimator_backward(chunk["offsets"], cache, params.estimator))
+        for name, g in grads.items():
+            g += chunk[name]
+    return loss / total_scenes, grads
 
 
 def toy_fit(
@@ -426,10 +370,9 @@ def toy_fit(
         raise Diverged(f"initial loss is not finite: {loss}")
     trace = [loss]
     for step in range(steps):
-        params.emb.g_theta -= lr * grads["g_theta"]
-        params.emb.g_phi -= lr * grads["g_phi"]
-        for k in ESTIMATOR_KEYS:
-            setattr(params.estimator, k, getattr(params.estimator, k) - lr * grads["estimator"][k])
+        for name, g in grads.items():
+            holder = params.holder(name)
+            setattr(holder, name, getattr(holder, name) - lr * g)
         last = step == steps - 1
         try:
             # the propagation output is range-bounded, so runaway parameters

@@ -285,6 +285,26 @@ class Scene:
     conf: Grid  # heuristic confidence for soft replacement
 
 
+def build_scene(
+    dstar: Grid | None,
+    ds: Grid,
+    m: Grid,
+    feature_channels: int = 16,
+    conf_cfg: ConfidenceConfig | None = None,
+) -> Scene:
+    """The front end: coarse depth, features and heuristic confidence for
+    sparse measurements ``ds`` with mask ``m``. Without ground truth
+    (``dstar`` None) the coarse map stands in for it."""
+    if dstar is not None and (dstar.height, dstar.width) != (ds.height, ds.width):
+        raise ShapeMismatch(
+            f"ground truth is {dstar.width}x{dstar.height}, sparse map is {ds.width}x{ds.height}"
+        )
+    d0 = coarse_predict(ds, m)
+    features = build_features(d0, m, feature_channels)
+    conf = heuristic_confidence(ds, m, conf_cfg or ConfidenceConfig(), coarse=d0)
+    return Scene(dstar=d0 if dstar is None else dstar, ds=ds, m=m, d0=d0, features=features, conf=conf)
+
+
 def prepare_scene(
     scene_spec: SceneSpec,
     sparse_spec: SparseSpec,
@@ -295,10 +315,7 @@ def prepare_scene(
 ) -> Scene:
     dstar = gen_scene(scene_spec, scene_seed)
     ds, m = sample_sparse(dstar, sparse_spec, sparse_seed)
-    d0 = coarse_predict(ds, m)
-    features = build_features(d0, m, feature_channels)
-    conf = heuristic_confidence(ds, m, conf_cfg or ConfidenceConfig(), coarse=d0)
-    return Scene(dstar=dstar, ds=ds, m=m, d0=d0, features=features, conf=conf)
+    return build_scene(dstar, ds, m, feature_channels, conf_cfg)
 
 
 def suite_seeds(count: int, base_seed: int = 0) -> list:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dspn import cli, read_grd, write_pgm16
+from dspn import Grid, cli, read_grd, write_pgm16
 from dspn.cli import (
     DEFAULT_ABLATE_ROWS,
     RunConfig,
@@ -151,10 +151,13 @@ def small_args(tmp_path, extra=()):
     ]
 
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
 def _env_with_src():
     """The environment with this checkout's ``src`` first on PYTHONPATH, so a
     subprocess imports ``dspn`` whether or not the package is installed."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    src = os.path.join(REPO, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return env
@@ -186,6 +189,28 @@ class TestModes:
         assert rc == 0
         assert (out2 / "refined.grd").exists()
         assert (out2 / "errmap.grd").exists()
+
+    def test_complete_with_mismatched_gt_shape_exits_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        sparse, gt = tmp_path / "sparse.pgm", tmp_path / "gt.pgm"
+        write_pgm16(Grid(rng.uniform(1.0, 5.0, (20, 30))), sparse)
+        write_pgm16(Grid(rng.uniform(1.0, 5.0, (10, 30))), gt)
+        rc = main([
+            "complete", "--set", "train.steps=0", "--set", f"out_dir={tmp_path / 'out'}",
+            "--set", f"inputs.sparse={sparse}", "--set", f"inputs.gt={gt}",
+        ])
+        assert rc == 2
+        assert "ground truth is 30x10, sparse map is 30x20" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "refined.grd").exists()
+
+    def test_complete_from_sparse_without_gt_refuses_to_train(self, tmp_path, capsys):
+        # the sparse file does not exist: the config is rejected before any read
+        missing = tmp_path / "missing.pgm"
+        assert main(["complete", "--set", f"inputs.sparse={missing}", "--set", f"out_dir={tmp_path}"]) == 2
+        err = capsys.readouterr().err
+        assert "train.steps=0" in err and "inputs.gt" in err
+        for accepted in (["train.steps=0"], ["refine=cspn"], ["mode=eval"]):
+            load_config(None, ["mode=complete", f"inputs.sparse={missing}", *accepted])
 
     def test_eval_perfect_prediction_all_zero(self, tmp_path):
         # constant plane at full density with no noise: the coarse map equals
@@ -269,6 +294,19 @@ class TestModes:
         assert rc == 0
         assert read_grd(out / "refined.grd").data.shape == (16, 16, 1)
         assert read_grd(out / "errmap.grd").data.shape == (16, 16, 1)
+
+    def test_benchmark_tracer_finds_every_layer(self, monkeypatch):
+        # perfbench/tracer.py wraps layer functions by module and name; a
+        # renamed or removed layer would silently drop out of its metrics
+        monkeypatch.syspath_prepend(os.path.join(REPO, "perfbench"))
+        import tracer
+
+        t = tracer.Tracer()
+        try:
+            t.install()
+            assert t.missing == []
+        finally:
+            t.uninstall()
 
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(

@@ -13,7 +13,7 @@ from dspn import (
     sample_sparse,
 )
 from dspn.errors import EmptySparse, InvalidMask, InvalidSpec, ShapeMismatch
-from dspn.synth import _nearest_valid_fill, box_blur3, prepare_scene, suite_seeds
+from dspn.synth import _nearest_valid_fill, box_blur3, build_scene, prepare_scene, suite_seeds
 
 from oracles import coarse_predict_ref, nearest_fill_ref
 
@@ -262,6 +262,21 @@ class TestFeatures:
         )
         for g in (scene.dstar, scene.ds, scene.m, scene.d0, scene.features, scene.conf):
             assert np.isfinite(g.data).all()
+
+    def test_measurements_without_ground_truth_get_the_generated_front_end(self):
+        # the file-input path: same coarse map, features and confidence as a
+        # generated scene, with the coarse map standing in for ground truth
+        spec, sparse = SceneSpec("step", 16, 16, 1.0, 10.0), SparseSpec(0.2, 0.02, 0.2, 1.0)
+        ref = prepare_scene(spec, sparse, scene_seed=5, sparse_seed=6, feature_channels=6)
+        scene = build_scene(None, ref.ds, ref.m, feature_channels=6)
+        for name in ("d0", "features", "conf"):
+            assert np.array_equal(getattr(scene, name).data, getattr(ref, name).data)
+        assert scene.dstar is scene.d0
+
+    def test_ground_truth_of_another_shape_rejected(self):
+        ds, m = Grid.full(8, 8, 2.0), Grid.full(8, 8, 1.0)
+        with pytest.raises(ShapeMismatch):
+            build_scene(Grid.full(8, 6, 2.0), ds, m)
 
 
 def test_suite_specs_are_distinct_and_deterministic():
