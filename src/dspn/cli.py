@@ -33,7 +33,7 @@ from .gradcheck import (
 )
 from .grid import Grid
 from .io import read_grd, read_pgm16, write_grd
-from .metrics import LossWeights, eval_metrics
+from .metrics import LossWeights, eval_metrics, valid_gt
 from .synth import Scene, SceneSpec, SparseSpec, build_scene, prepare_scene, suite_seeds
 
 MODES = ("generate", "complete", "eval", "gradcheck", "ablate")
@@ -280,10 +280,6 @@ def evaluate_suite(scenes, method, iters, kernel_size, params=None, replacement=
     return [_eval_one(j) for j in jobs]
 
 
-def mean_rmse(reports) -> float:
-    return float(np.mean([r.rmse for r in reports]))
-
-
 # ---------------------------------------------------------------------------
 # Mode runners
 # ---------------------------------------------------------------------------
@@ -323,11 +319,14 @@ def run_complete(cfg: RunConfig) -> int:
     else:
         scene = build_suite(dataclasses.replace(cfg, num_scenes=1))[0]
         have_gt = True
+    # a gt without any valid pixel fails here, before training or any write
+    valid = valid_gt(scene.dstar) if have_gt else None
     params = train_dspn([scene], cfg) if cfg.refine == "dspn" else None
     refined = refine_scene(scene, cfg.refine, cfg.iters, cfg.kernel_size, params, cfg.replacement)
     write_grd(refined, out / "refined.grd")
     if have_gt:
-        err = Grid(np.abs(refined.channel(0) - scene.dstar.channel(0)))
+        # missing gt pixels carry no error
+        err = Grid(np.where(valid, np.abs(refined.channel(0) - scene.dstar.channel(0)), 0.0))
         write_grd(err, out / "errmap.grd")
         print(f"refined + error map written to {out}")
     else:

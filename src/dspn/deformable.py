@@ -244,36 +244,35 @@ def conv3x3_replicate_backward(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
 
 @dataclass
 class EstimatorCache:
-    """Forward activations needed to backpropagate through the estimator."""
+    """Forward activations needed to backpropagate through the estimator.
+
+    A ReLU's output is positive exactly where its input is, so the
+    activations also give the ReLU masks; no pre-activation is kept.
+    """
 
     x: np.ndarray
-    pre1: np.ndarray
     act1: np.ndarray
-    pre2: np.ndarray
     act2: np.ndarray
 
 
 def offset_estimator_forward(F: np.ndarray, params: OffsetEstimatorParams):
     """Run the estimator on (..., h, w, c) features; offsets get shape
     (..., h, w, k*k-1, 2)."""
-    pre1 = conv3x3_replicate(F, params.w1, params.b1)
-    act1 = np.maximum(pre1, 0.0)
-    pre2 = conv3x3_replicate(act1, params.w2, params.b2)
-    act2 = np.maximum(pre2, 0.0)
+    act1 = np.maximum(conv3x3_replicate(F, params.w1, params.b1), 0.0)
+    act2 = np.maximum(conv3x3_replicate(act1, params.w2, params.b2), 0.0)
     out = conv3x3_replicate(act2, params.w3, params.b3)
     n = params.kernel_size * params.kernel_size - 1
     delta = out.reshape(out.shape[:-1] + (n, 2))
-    cache = EstimatorCache(x=F, pre1=pre1, act1=act1, pre2=pre2, act2=act2)
-    return delta, cache
+    return delta, EstimatorCache(x=F, act1=act1, act2=act2)
 
 
 def offset_estimator_backward(d_delta: np.ndarray, cache: EstimatorCache, params: OffsetEstimatorParams):
     """Parameter gradients given the gradient on the emitted offset field."""
     d_out = d_delta.reshape(d_delta.shape[:-2] + (-1,))
     d_w3, d_b3, d_act2 = conv3x3_replicate_backward(cache.act2, params.w3, d_out)
-    d_pre2 = d_act2 * (cache.pre2 > 0.0)
+    d_pre2 = d_act2 * (cache.act2 > 0.0)
     d_w2, d_b2, d_act1 = conv3x3_replicate_backward(cache.act1, params.w2, d_pre2)
-    d_pre1 = d_act1 * (cache.pre1 > 0.0)
+    d_pre1 = d_act1 * (cache.act1 > 0.0)
     d_w1, d_b1, _ = conv3x3_replicate_backward(cache.x, params.w1, d_pre1)
     return {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2, "w3": d_w3, "b3": d_b3}
 

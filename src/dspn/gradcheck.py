@@ -27,7 +27,7 @@ from .deformable import (
 )
 from .errors import Diverged, DspnError, InvalidConfig, InvalidState, NonFiniteLoss
 from .grid import Grid
-from .metrics import LossWeights
+from .metrics import LossWeights, valid_gt
 
 REL_ERR_FLOOR = 1e-8
 
@@ -279,57 +279,37 @@ class FitParams:
         return {name: getattr(self.holder(name), name) for name in ("g_theta", "g_phi", *ESTIMATOR_KEYS)}
 
 
-@dataclass
-class _SceneStack:
-    """Scene bundles stacked along a leading batch axis."""
-
-    d0: np.ndarray
-    ds: np.ndarray
-    replace_factor: np.ndarray
-    features: np.ndarray
-    target: np.ndarray
-
-
-def _stack_scenes(scenes) -> _SceneStack:
-    return _SceneStack(
-        d0=np.stack([s.d0.channel(0) for s in scenes]),
-        ds=np.stack([s.ds.channel(0) for s in scenes]),
-        replace_factor=np.stack([s.m.channel(0) * s.conf.channel(0) for s in scenes]),
-        features=np.stack([s.features.data for s in scenes]),
-        target=np.stack([s.dstar.channel(0) for s in scenes]),
-    )
-
-
-FIT_CHUNK = 10  # scenes per batched forward/backward; bounds peak memory
-
-
-def _fit_loss_and_grads(params: FitParams, stack: _SceneStack, iters: int, weight: float,
+def _fit_loss_and_grads(params: FitParams, scenes, iters: int, weight: float,
                         kernel_size: int, compute_grads: bool = True):
-    """Mean loss over the stack and its gradient, keyed like ``params.arrays()``."""
-    total_scenes = stack.d0.shape[0]
+    """Mean loss over the scenes and its gradient, keyed like ``params.arrays()``.
+
+    Each scene runs through the batched core as a stack of one, so scenes of
+    any size train together. A scene's loss is the mean squared error over
+    its valid ground-truth pixels (see :func:`dspn.metrics.valid_gt`).
+    """
     loss = 0.0
     grads = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
-
-    px_per_scene = stack.d0.shape[1] * stack.d0.shape[2]
-    for start in range(0, total_scenes, FIT_CHUNK):
-        stop = min(start + FIT_CHUNK, total_scenes)
-        feats = stack.features[start:stop]
+    for scene in scenes:
+        valid = valid_gt(scene.dstar)
+        count = int(valid.sum())
+        feats = scene.features.data[np.newaxis]
         delta, cache = offset_estimator_forward(feats, params.estimator)
         aff = affinity_forward_batched(feats, delta, params.emb, kernel_size)
         state = refine_forward_batched(
-            stack.d0[start:stop], stack.ds[start:stop], stack.replace_factor[start:stop],
+            scene.d0.channel(0)[np.newaxis], scene.ds.channel(0)[np.newaxis],
+            (scene.m.channel(0) * scene.conf.channel(0))[np.newaxis],
             aff, iters, keep_records=compute_grads,
         )
-        resid = state.out - stack.target[start:stop]
-        loss += weight * float((resid * resid).sum()) / px_per_scene
+        resid = np.where(valid, state.out - scene.dstar.channel(0), 0.0)
+        loss += weight * float((resid * resid).sum()) / count
         if not compute_grads:
             continue
-        upstream = weight * 2.0 * resid / px_per_scene / total_scenes
-        chunk = dspn_backward(upstream, state)
-        chunk.update(offset_estimator_backward(chunk["offsets"], cache, params.estimator))
+        upstream = weight * 2.0 * resid / count / len(scenes)
+        scene_grads = dspn_backward(upstream, state)
+        scene_grads.update(offset_estimator_backward(scene_grads["offsets"], cache, params.estimator))
         for name, g in grads.items():
-            g += chunk[name]
-    return loss / total_scenes, grads
+            g += scene_grads[name]
+    return loss / len(scenes), grads
 
 
 def toy_fit(
@@ -347,7 +327,8 @@ def toy_fit(
     parameters and the loss trace (initial loss followed by the loss after
     each step). The seed only matters when drawing a default init.
 
-    Raises Diverged as soon as the loss stops being finite.
+    Raises EmptyGroundTruth when a scene has no valid ground-truth pixel,
+    and Diverged as soon as the loss stops being finite.
     """
     if steps < 1:
         raise InvalidConfig(f"steps must be >= 1, got {steps}")
@@ -363,9 +344,7 @@ def toy_fit(
     kernel_size = init.estimator.kernel_size
 
     params = init.copy()
-    stack = _stack_scenes(scenes)
-
-    loss, grads = _fit_loss_and_grads(params, stack, iters, weight, kernel_size)
+    loss, grads = _fit_loss_and_grads(params, scenes, iters, weight, kernel_size)
     if not np.isfinite(loss):
         raise Diverged(f"initial loss is not finite: {loss}")
     trace = [loss]
@@ -381,7 +360,7 @@ def toy_fit(
             # overflow here means the optimisation blew up
             with np.errstate(over="raise", invalid="raise"):
                 loss, grads = _fit_loss_and_grads(
-                    params, stack, iters, weight, kernel_size, compute_grads=not last
+                    params, scenes, iters, weight, kernel_size, compute_grads=not last
                 )
         except (DspnError, FloatingPointError) as exc:
             raise Diverged(f"forward pass failed after {step + 1} step(s): {exc}") from exc

@@ -1,7 +1,9 @@
 """KITTI-convention error metrics and the training-loss weight.
 
 Depth metrics are reported in millimetres, inverse-depth metrics in 1/km.
-Evaluation is restricted to pixels with positive ground truth.
+Ground truth of 0 marks a missing pixel (KITTI ground truth is semi-dense),
+so evaluation, the training loss and the error map read only the pixels
+that :func:`valid_gt` selects.
 """
 
 from __future__ import annotations
@@ -38,16 +40,24 @@ class LossWeights:
             raise InvalidConfig(f"loss weight refined must be finite and >= 0, got {self.refined}")
 
 
+def valid_gt(gt: Grid) -> np.ndarray:
+    """The (h, w) mask of pixels with ground truth: those with positive depth.
+
+    Raises EmptyGroundTruth when no pixel has any.
+    """
+    valid = gt.channel(0) > 0.0
+    if not valid.any():
+        raise EmptyGroundTruth("no pixels with positive ground truth")
+    return valid
+
+
 def eval_metrics(pred: Grid, gt: Grid) -> MetricReport:
     if not same_shape(pred, gt):
         raise ShapeMismatch("prediction and ground truth must share one shape")
-    gt_arr = gt.channel(0)
-    valid = gt_arr > 0.0
+    valid = valid_gt(gt)
     count = int(valid.sum())
-    if count == 0:
-        raise EmptyGroundTruth("no pixels with positive ground truth")
     p = pred.channel(0)[valid]
-    g = gt_arr[valid]
+    g = gt.channel(0)[valid]
     diff = p - g
     rmse = float(np.sqrt(np.mean(diff * diff)) * 1000.0)
     mae = float(np.mean(np.abs(diff)) * 1000.0)

@@ -294,7 +294,11 @@ def build_scene(
 ) -> Scene:
     """The front end: coarse depth, features and heuristic confidence for
     sparse measurements ``ds`` with mask ``m``. Without ground truth
-    (``dstar`` None) the coarse map stands in for it."""
+    (``dstar`` None) the coarse map stands in for it. Every input map must be
+    single-channel."""
+    for name, g in (("ground truth", dstar), ("sparse map", ds), ("mask", m)):
+        if g is not None and g.channels != 1:
+            raise ShapeMismatch(f"{name} must be single-channel, got {g.channels} channels")
     if dstar is not None and (dstar.height, dstar.width) != (ds.height, ds.width):
         raise ShapeMismatch(
             f"ground truth is {dstar.width}x{dstar.height}, sparse map is {ds.width}x{ds.height}"

@@ -31,10 +31,15 @@ from dspn import (
 )
 from dspn.cspn import AffinityStencilField
 from dspn.deformable import affinity_forward
-from dspn.cli import RunConfig, build_suite, evaluate_suite, init_fit_params, mean_rmse
+from dspn import cli
+from dspn.cli import RunConfig, build_suite, evaluate_suite, fmt, init_fit_params
 from dspn.gradcheck import check_instance_gradients, make_gradcheck_instance, toy_fit
 
 from oracles import cspn_refine_ref, cspn_step_ref, dspn_refine_ref, dspn_step_ref
+
+
+def mean_rmse(reports) -> float:
+    return float(np.mean([r.rmse for r in reports]))
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -159,7 +164,8 @@ def test_criterion_3_gradient_verification():
 
 @pytest.fixture(scope="module")
 def trend():
-    """Train once on the default suite; criteria 4-6 read from this."""
+    """Train once on the default suite; criteria 4-6 and the ablate CSV test
+    read from this."""
     t0 = time.perf_counter()
     cfg = RunConfig()
     scenes = build_suite(cfg)
@@ -168,6 +174,10 @@ def trend():
         scenes, init, lr=cfg.train.lr, steps=cfg.train.steps, iters=cfg.train.iters
     )
     results = {
+        "cfg": cfg,
+        "scenes": scenes,
+        "init": init,
+        "fitted": fitted,
         "d0": evaluate_suite(scenes, "none", 0, 3),
         "cspn12": evaluate_suite(scenes, "cspn", 12, 3),
         "dspn3": evaluate_suite(scenes, "dspn", 3, 3, fitted),
@@ -234,24 +244,38 @@ def test_criterion_7_metrics_fixtures():
     report("7 metrics fixtures", ok, f"hand cases {'ok' if hand else 'bad'}, rms>=mean on 100 grids {'ok' if ordered else 'bad'}")
 
 
-def test_default_ablate_csv_reproduces_trend(tmp_path):
-    """The shipped ablate command at default settings shows the same ordering."""
-    from dspn.cli import run_ablate
+def test_default_ablate_csv_reproduces_trend(trend, tmp_path, monkeypatch):
+    """The shipped ablate command at default settings shows the same ordering.
 
+    The run is end to end except for its training, which is served from the
+    ``trend`` fixture after checking that it was asked for the same fit.
+    """
+    def fixture_fit(scenes, init, lr, steps, seed=0, iters=3, weights=None):
+        assert len(scenes) == len(trend["scenes"])
+        for got, want in zip(scenes, trend["scenes"]):
+            assert np.array_equal(got.d0.data, want.d0.data)
+        want_init = trend["init"].arrays()
+        for name, arr in init.arrays().items():
+            assert np.array_equal(arr, want_init[name])
+        train = trend["cfg"].train
+        assert (lr, steps, iters) == (train.lr, train.steps, train.iters)
+        assert weights == trend["cfg"].loss_weights
+        return trend["fitted"], trend["trace"]
+
+    monkeypatch.setattr(cli, "toy_fit", fixture_fit)
     cfg = RunConfig()
     cfg.out_dir = str(tmp_path)
-    assert run_ablate(cfg) == 0
+    assert cli.run_ablate(cfg) == 0
     rows = {}
     lines = (tmp_path / "ablate.csv").read_text().splitlines()
     for line in lines[1:]:
         method, iters, size, rmse, _, _, _ = line.split(",")
-        rows[(method, iters, size)] = float(rmse)
-    ok = rows[("dspn", "3", "3x3")] < rows[("cspn", "12", "3x3")]
-    report(
-        "ablate CSV trend",
-        ok,
-        f"dspn/3 rmse {rows[('dspn', '3', '3x3')]:.1f} vs cspn/12 rmse {rows[('cspn', '12', '3x3')]:.1f}",
-    )
+        rows[(method, iters, size)] = rmse
+    assert rows[("dspn", "3", "3x3")] == fmt(mean_rmse(trend["dspn3"]))
+    assert rows[("cspn", "12", "3x3")] == fmt(mean_rmse(trend["cspn12"]))
+    dspn3, cspn12 = float(rows[("dspn", "3", "3x3")]), float(rows[("cspn", "12", "3x3")])
+    ok = dspn3 < cspn12
+    report("ablate CSV trend", ok, f"dspn/3 rmse {dspn3:.1f} vs cspn/12 rmse {cspn12:.1f}")
 
 
 def test_criterion_8_performance_floor(tmp_path):

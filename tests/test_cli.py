@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dspn import Grid, cli, read_grd, write_pgm16
+from dspn import Grid, cli, read_grd, read_pgm16, write_grd, write_pgm16
 from dspn.cli import (
     DEFAULT_ABLATE_ROWS,
     RunConfig,
@@ -201,6 +201,59 @@ class TestModes:
         ])
         assert rc == 2
         assert "ground truth is 30x10, sparse map is 30x20" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "refined.grd").exists()
+
+    def test_complete_error_map_skips_missing_gt(self, tmp_path):
+        # gt 0 marks a missing pixel: the left half has no error, and training
+        # fits only the right half
+        rng = np.random.default_rng(1)
+        depth = rng.uniform(1.0, 5.0, (24, 24))
+        keep = rng.random((24, 24)) < 0.2
+        gt_depth = depth.copy()
+        gt_depth[:, :12] = 0.0
+        sparse, gt = tmp_path / "sparse.pgm", tmp_path / "gt.pgm"
+        write_pgm16(Grid(np.where(keep, depth, 0.0)), sparse)
+        write_pgm16(Grid(gt_depth), gt)
+        out = tmp_path / "out"
+        rc = main([
+            "complete", "--set", "train.steps=2", "--set", "train.lr=0.5", "--set", f"out_dir={out}",
+            "--set", f"inputs.sparse={sparse}", "--set", f"inputs.gt={gt}",
+        ])
+        assert rc == 0
+        refined = read_grd(out / "refined.grd").channel(0)
+        err = read_grd(out / "errmap.grd").channel(0)
+        g = read_pgm16(gt).channel(0)
+        assert np.all(err[:, :12] == 0.0) and refined[:, :12].mean() > 1.0
+        expected = np.abs(refined[:, 12:] - g[:, 12:])
+        assert np.abs(err[:, 12:] - expected).max() <= 1e-5 * expected.max()
+
+    def test_complete_with_empty_gt_exits_2(self, tmp_path, capsys):
+        sparse, gt = tmp_path / "sparse.pgm", tmp_path / "gt.pgm"
+        write_pgm16(Grid(np.random.default_rng(2).uniform(1.0, 5.0, (16, 16))), sparse)
+        write_pgm16(Grid(np.zeros((16, 16))), gt)
+        rc = main([
+            "complete", "--set", "train.steps=0", "--set", f"out_dir={tmp_path / 'out'}",
+            "--set", f"inputs.sparse={sparse}", "--set", f"inputs.gt={gt}",
+        ])
+        assert rc == 2
+        assert "no pixels with positive ground truth" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "refined.grd").exists()
+
+    @pytest.mark.parametrize("multi", ["sparse", "gt"])
+    def test_complete_with_multi_channel_input_exits_2(self, multi, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        files = {}
+        for name in ("sparse", "gt"):
+            channels = 2 if name == multi else 1
+            files[name] = tmp_path / f"{name}.grd"
+            write_grd(Grid(rng.uniform(1.0, 5.0, (16, 16, channels))), files[name])
+        rc = main([
+            "complete", "--set", "train.steps=0", "--set", f"out_dir={tmp_path / 'out'}",
+            "--set", f"inputs.sparse={files['sparse']}", "--set", f"inputs.gt={files['gt']}",
+        ])
+        assert rc == 2
+        label = "sparse map" if multi == "sparse" else "ground truth"
+        assert f"{label} must be single-channel, got 2 channels" in capsys.readouterr().err
         assert not (tmp_path / "out" / "refined.grd").exists()
 
     def test_complete_from_sparse_without_gt_refuses_to_train(self, tmp_path, capsys):

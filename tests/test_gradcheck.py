@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,17 +7,18 @@ from dspn import EmbeddingParams, Grid, OffsetField
 from dspn.deformable import (
     OffsetEstimatorParams,
     affinity_forward_batched,
+    conv3x3_replicate,
     dspn_refine_forward,
+    offset_estimator,
     offset_estimator_backward,
     offset_estimator_forward,
     refine_forward_batched,
 )
-from dspn.errors import Diverged, InvalidConfig, InvalidState, NonFiniteLoss
+from dspn.errors import Diverged, EmptyGroundTruth, InvalidConfig, InvalidState, NonFiniteLoss
 from dspn.gradcheck import (
     ESTIMATOR_KEYS,
     FitParams,
     _fit_loss_and_grads,
-    _stack_scenes,
     check_instance_gradients,
     dspn_backward,
     finite_diff_grad,
@@ -159,7 +162,9 @@ class TestEstimatorGradients:
         inst, params = self._estimator_instance(26)
         delta, cache = offset_estimator_forward(inst.features.data, params)
         # keep ReLU kinks away from the finite-difference probes
-        assert min(np.abs(cache.pre1).min(), np.abs(cache.pre2).min()) > 2e-3
+        pre1 = conv3x3_replicate(inst.features.data, params.w1, params.b1)
+        pre2 = conv3x3_replicate(cache.act1, params.w2, params.b2)
+        assert min(np.abs(pre1).min(), np.abs(pre2).min()) > 2e-3
 
         _, state = dspn_refine_forward(
             inst.d0, inst.ds, inst.m, inst.conf, inst.features,
@@ -220,7 +225,7 @@ class TestToyFit:
     def test_single_step_is_exact_gradient_update(self, scenes):
         init = self._init(scenes)
         lr = 0.05
-        _, grads = _fit_loss_and_grads(init, _stack_scenes(scenes), iters=2, weight=1.0, kernel_size=3)
+        _, grads = _fit_loss_and_grads(init, scenes, iters=2, weight=1.0, kernel_size=3)
         fitted, trace = toy_fit(scenes, init, lr=lr, steps=1, iters=2)
         start, end = init.arrays(), fitted.arrays()
         assert set(grads) == set(start) == {"g_theta", "g_phi", *ESTIMATOR_KEYS}
@@ -250,3 +255,40 @@ class TestToyFit:
     def test_loss_decreases_with_small_lr(self, scenes):
         _, trace = toy_fit(scenes, self._init(scenes), lr=0.05, steps=10, iters=2)
         assert trace[-1] < trace[0]
+
+    def test_scenes_of_different_sizes_train_together(self):
+        sparse = SparseSpec(0.25, 0.0, 0.0, 0.0)
+        mixed = [
+            prepare_scene(SceneSpec("step", 12, 12, 1.0, 5.0), sparse, 3, 53, feature_channels=4),
+            prepare_scene(SceneSpec("composite", 16, 10, 1.0, 5.0), sparse, 4, 54, feature_channels=4),
+        ]
+        init = self._init(mixed)
+        singles = [_fit_loss_and_grads(init, [s], iters=2, weight=1.0, kernel_size=3) for s in mixed]
+        loss, grads = _fit_loss_and_grads(init, mixed, iters=2, weight=1.0, kernel_size=3)
+        assert loss == (singles[0][0] + singles[1][0]) / 2
+        for name, g in grads.items():
+            assert np.array_equal(g, (singles[0][1][name] + singles[1][1][name]) / 2)
+        lr = 0.05
+        fitted, trace = toy_fit(mixed, init, lr=lr, steps=1, iters=2)
+        assert trace[0] == loss
+        for name, arr in fitted.arrays().items():
+            assert np.array_equal(arr, init.arrays()[name] - lr * grads[name])
+
+    def test_loss_is_mse_over_valid_ground_truth(self, scenes):
+        # gt 0 marks a missing pixel: the left half carries no loss
+        gt = scenes[0].dstar.channel(0).copy()
+        gt[:, :6] = 0.0
+        scene = dataclasses.replace(scenes[0], dstar=Grid(gt))
+        init = self._init(scenes)
+        loss, _ = _fit_loss_and_grads(init, [scene], iters=2, weight=1.0, kernel_size=3, compute_grads=False)
+        refined, _ = dspn_refine_forward(
+            scene.d0, scene.ds, scene.m, scene.conf, scene.features,
+            offset_estimator(scene.features, init.estimator), init.emb, 2, keep_records=False,
+        )
+        diff = (refined.channel(0) - gt)[:, 6:]
+        assert loss == pytest.approx(float(np.mean(diff * diff)), rel=1e-12)
+
+    def test_scene_without_ground_truth_rejected(self, scenes):
+        scene = dataclasses.replace(scenes[0], dstar=Grid.zeros(12, 12))
+        with pytest.raises(EmptyGroundTruth):
+            toy_fit([scenes[1], scene], self._init(scenes), lr=0.05, steps=1, iters=2)
