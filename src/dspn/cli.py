@@ -226,7 +226,34 @@ def init_fit_params(cfg: RunConfig) -> FitParams:
     )
 
 
+# Bytes of propagation state per tap (one pixel's read of one neighbour) that
+# one scene holds. dspn: the taps' four corner indices (32 B), four bilinear
+# weights (32 B), fx, fy, gx and gy (32 B), the four corner products (32 B)
+# and the softmax weight (8 B). cspn: the raw and the normalised stencil.
+STATE_BYTES_PER_TAP = {"dspn": 136, "cspn": 16}
+# Cap on that state: k=3 dspn on a 1216x352 KITTI map (444 MiB) fits, and a
+# run's peak memory is about twice its state.
+MAX_STATE_BYTES = 512 * 2**20
+
+
+def check_state_size(height: int, width: int, kernel_size: int, method: str) -> int:
+    """Estimated bytes of one scene's per-tap propagation state.
+
+    Raises InvalidConfig above MAX_STATE_BYTES, so an oversized kernel fails
+    before the estimator or any stencil allocates.
+    """
+    size = height * width * (kernel_size * kernel_size - 1) * STATE_BYTES_PER_TAP[method]
+    if size > MAX_STATE_BYTES:
+        raise InvalidConfig(
+            f"{method} with kernel_size={kernel_size} on a {width}x{height} map needs about "
+            f"{size / 2**20:.0f} MiB of propagation state, over the {MAX_STATE_BYTES // 2**20} MiB cap"
+        )
+    return size
+
+
 def train_dspn(scenes, cfg: RunConfig) -> FitParams:
+    for scene in scenes:
+        check_state_size(scene.d0.height, scene.d0.width, cfg.kernel_size, "dspn")
     init = init_fit_params(cfg)
     if cfg.train.steps == 0:
         return init
@@ -248,6 +275,7 @@ def refine_scene(
     """Refined depth for one scene; method none returns the coarse map."""
     if method == "none" or iters == 0:
         return scene.d0
+    check_state_size(scene.d0.height, scene.d0.width, kernel_size, method)
     if method == "cspn":
         stencils = AffinityStencilField.uniform(scene.d0.width, scene.d0.height, kernel_size)
         return cspn_refine(scene.d0, scene.ds, scene.m, stencils, iters)

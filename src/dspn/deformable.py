@@ -18,10 +18,17 @@ every sampled value (corner products here, depth in each step, their
 gradients in the backward pass) through the one bilinear taps type,
 :class:`dspn.grid.Taps`. The public grid operations wrap the core with
 S == 1, and the per-pixel API (:func:`deformed_neighborhood`,
-:func:`compute_affinity`) is a one-pixel view sharing its displaced-position
+:func:`compute_affinity`) is a one-pixel map sharing its displaced-position
 and softmax helpers. Affinity depends only on features and offsets, both
 fixed during refinement, so refine computes it once and reuses it every
 iteration.
+
+On large maps the per-tap reads are bound by memory bandwidth, so the
+affinity's corner products and each propagation step walk the map in row
+bands of about BAND_PX pixels, whose temporaries stay in cache. Banding
+changes no pixel's arithmetic, so the outputs are the same for any band
+height; a map of at most BAND_PX pixels (a 64x64 training scene) is one
+band.
 """
 
 from __future__ import annotations
@@ -200,17 +207,26 @@ class OffsetEstimatorParams:
 def conv3x3_replicate(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Stride-1 3x3 convolution with border-replicated padding.
 
-    ``x`` is (..., h, w, c_in); any leading batch axes pass through.
+    ``x`` is (..., h, w, c_in); any leading batch axes pass through. The
+    padded input is flattened to rows of pixels, where every tap is one
+    contiguous shift of the whole stack, so each tap is one GEMM. Outputs
+    that fall on the two pad columns of a row (or the pad rows of a scene)
+    read across its edge; they are computed and dropped.
     """
     h, wd = x.shape[-3], x.shape[-2]
     pad = [(0, 0)] * (x.ndim - 3) + [(1, 1), (1, 1), (0, 0)]
     padded = np.pad(x, pad, mode="edge")
-    out = np.broadcast_to(b, x.shape[:-1] + (w.shape[0],)).copy()
+    flat = padded.reshape(-1, x.shape[-1])
+    span = flat.shape[0] - 2 * (wd + 2) - 2
+    w_taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0))  # (3, 3, c_in, c_out)
+    acc = np.empty((flat.shape[0], w.shape[0]))
+    acc[:] = b
+    term = np.empty((span, w.shape[0]))
     for ty in range(3):
         for tx in range(3):
-            view = padded[..., ty : ty + h, tx : tx + wd, :]
-            out += np.tensordot(view, w[:, :, ty, tx], axes=([view.ndim - 1], [1]))
-    return out
+            start = ty * (wd + 2) + tx
+            acc[:span] += np.matmul(flat[start : start + span], w_taps[ty, tx], out=term)
+    return acc.reshape(padded.shape[:-1] + (w.shape[0],))[..., :h, :wd, :]
 
 
 def conv3x3_replicate_backward(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
@@ -308,38 +324,49 @@ def deformed_neighborhood(x_i, kernel_size: int, offsets: OffsetField) -> list:
 
 def compute_affinity(F: Grid, emb: EmbeddingParams, x_i, nbrs) -> AffinityWeights:
     """Softmax weights for one pixel and its neighbours: the batched affinity
-    of a one-pixel stack (see :func:`_affinity_at`)."""
+    of a one-pixel map (see :func:`_affinity_at`)."""
     if F.channels != emb.feature_channels:
         raise ShapeMismatch(f"features have {F.channels} channels, embedding expects {emb.feature_channels}")
     if not np.isfinite(F.data).all():
         raise InvalidFeature("feature grid contains NaN or Inf")
     x, y = pixel_index(x_i, F.width, F.height)
-    pos = np.array([(float(p[0]), float(p[1])) for p in nbrs], dtype=np.float64).reshape(-1, 2)
+    pos = np.array([(float(p[0]), float(p[1])) for p in nbrs], dtype=np.float64).reshape(1, 1, 1, -1, 2)
     aff = _affinity_at(
-        F.data[np.newaxis], F.data[np.newaxis, y, x], pos[np.newaxis, :, 0], pos[np.newaxis, :, 1], emb
+        F.data[np.newaxis], F.data[np.newaxis, y : y + 1, x : x + 1], pos[..., 0], pos[..., 1], emb
     )
-    return AffinityWeights(neighbor_weights=aff.w_nb[0], self_weight=float(aff.w_self[0]))
+    return AffinityWeights(neighbor_weights=aff.w_nb[0, 0, 0], self_weight=float(aff.w_self[0, 0, 0]))
 
 
 @dataclass
 class AffinityState:
     """Batched affinity weights plus everything the backward pass reuses.
 
-    Leading axes (S, ...) are the scene stack and the pixels of each scene:
-    (S, h, w) for a whole map, (1,) for the per-pixel view. No field has a
-    per-tap channel axis.
+    Leading axes (S, h, w) are the scene stack and the pixels of each
+    scene; the per-pixel view is a 1x1 map. No field has a per-tap channel
+    axis.
     """
 
     scale: float
     taps: Taps
-    dots: np.ndarray  # (4, S, ..., n) corner products q . K[corner], stacked like taps.index
-    q: np.ndarray  # (S, ..., d_e)
-    k_self: np.ndarray  # (S, ..., d_e)
-    w_nb: np.ndarray  # (S, ..., n)
-    w_self: np.ndarray  # (S, ...)
-    F: np.ndarray  # (S, ..., d_F) features at the propagating pixels
-    stack: np.ndarray  # (S, h, w, d_F) the feature stack the taps read
+    dots: np.ndarray  # (4, S, h, w, n) corner products q . K[corner], stacked like taps.index
+    q: np.ndarray  # (S, h, w, d_e)
+    k_self: np.ndarray  # (S, h, w, d_e)
+    w_nb: np.ndarray  # (S, h, w, n)
+    w_self: np.ndarray  # (S, h, w)
+    F: np.ndarray  # (S, h, w, d_F) features at the propagating pixels
+    stack: np.ndarray  # (S, H, W, d_F) the feature stack the taps read
     emb: EmbeddingParams
+
+
+BAND_PX = 4096  # pixels per row band: a band's per-tap temporaries stay in cache
+
+
+def _row_bands(height: int, width: int):
+    """Row slices of ``max(1, BAND_PX // width)`` rows covering a map; the
+    last one may be shorter. A map of at most BAND_PX pixels is one band."""
+    rows = max(1, BAND_PX // width)
+    for top in range(0, height, rows):
+        yield slice(top, min(top + rows, height))
 
 
 def _matmul_last(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -358,14 +385,15 @@ def _displaced_positions(x, y, delta: np.ndarray, kernel_size: int):
 
 def _affinity_at(F: np.ndarray, f_self: np.ndarray, pos_x: np.ndarray, pos_y: np.ndarray,
                  emb: EmbeddingParams) -> AffinityState:
-    """Scaled-dot-product softmax between features ``f_self`` (S, ..., d_F)
-    and the (S, h, w, d_F) stack ``F`` sampled at (S, ..., n) positions.
+    """Scaled-dot-product softmax between the (S, h, w, d_F) features
+    ``f_self`` and the (S, H, W, d_F) stack ``F`` sampled at (S, h, w, n)
+    positions.
 
     Each neighbour logit is the bilinear blend of the four corner products
-    ``q . K[corner]`` (see the module docstring). Logits are max-shifted
-    before exponentiation; the self term is part of the normalisation, so
-    all weights are strictly positive and sum to 1 with the self weight
-    included.
+    ``q . K[corner]`` (see the module docstring), gathered one row band at
+    a time. Logits are max-shifted before exponentiation; the self term is
+    part of the normalisation, so all weights are strictly positive and sum
+    to 1 with the self weight included.
     """
     taps = Taps.at(pos_x, pos_y, F.shape[2], F.shape[1])
     scale = np.sqrt(float(F.shape[-1]))
@@ -373,8 +401,9 @@ def _affinity_at(F: np.ndarray, f_self: np.ndarray, pos_x: np.ndarray, pos_y: np
     k_self = _matmul_last(f_self, emb.g_phi)
     keys = _matmul_last(F, emb.g_phi).reshape(-1, emb.embed_dim)
     dots = np.empty(taps.index.shape)
-    for idx, out in zip(taps.index, dots):
-        np.einsum("...nd,...d->...n", np.take(keys, idx, axis=0), q, out=out)
+    for band in _row_bands(*f_self.shape[1:3]):
+        for idx, out in zip(taps.rows(band).index, dots[:, :, band]):
+            np.einsum("...nd,...d->...n", np.take(keys, idx, axis=0), q[:, band], out=out)
 
     logit_nb = taps.lerp(dots) / scale
     logit_self = (q * k_self).sum(axis=-1) / scale
@@ -431,9 +460,16 @@ def dspn_step_forward(h_arr: np.ndarray, aff: AffinityState):
     Difference form keeps the convex-combination bound exact: with the self
     weight strictly positive the neighbour weights sum to strictly less
     than 1, so the output cannot escape [min, max] of the sampled values.
+    The step walks row bands (see :func:`_row_bands`); every pixel's
+    arithmetic is the same as in one pass over the whole map.
     """
-    h_nb = aff.taps.sample(h_arr)
-    out = h_arr + np.einsum("shwn,shwn->shw", aff.w_nb, h_nb - h_arr[..., np.newaxis])
+    out = np.empty_like(h_arr)
+    h_nb = np.empty(aff.w_nb.shape)
+    for band in _row_bands(*h_arr.shape[1:]):
+        nb = aff.taps.rows(band).sample(h_arr, out=h_nb[:, band])
+        here = h_arr[:, band]
+        np.einsum("shwn,shwn->shw", aff.w_nb[:, band], nb - here[..., np.newaxis], out=out[:, band])
+        out[:, band] += here
     return out, StepRecord(h_in=h_arr, h_nb=h_nb)
 
 

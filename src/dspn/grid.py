@@ -160,24 +160,37 @@ class Taps:
         np.add(row1, ix1, out=index[3])
         return cls(index, px - x0, py - y0)
 
+    def rows(self, band: slice) -> "Taps":
+        """The taps of rows ``band`` of (S, h, w, ...) positions, as views.
+
+        Corner indices still address the whole flattened stack, so a band
+        of taps reads values from any row.
+        """
+        part = object.__new__(Taps)
+        part.index = self.index[:, :, band]
+        part.weights = self.weights[:, :, band]
+        for name in ("fx", "fy", "gx", "gy"):
+            setattr(part, name, getattr(self, name)[:, band])
+        return part
+
     def corners(self, values: np.ndarray) -> np.ndarray:
         """The four corner reads of (S, h, w) values, stacked like ``index``."""
         return np.take(values.reshape(-1), self.index)
 
-    def lerp(self, corners) -> np.ndarray:
+    def lerp(self, corners, out: np.ndarray | None = None) -> np.ndarray:
         """Bilinear blend of four scalar corner reads (no clamping)."""
-        out = self.weights[0] * corners[0]
+        out = np.multiply(self.weights[0], corners[0], out=out)
         term = np.empty_like(out)
         for w, v in zip(self.weights[1:], corners[1:]):
             out += np.multiply(w, v, out=term)
         return out
 
-    def sample(self, values: np.ndarray) -> np.ndarray:
+    def sample(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Bilinear samples of (S, h, w) values, clamped into the hull of
         their four corners so the convex-combination bound holds exactly,
         not just to roundoff."""
         corners = self.corners(values)
-        out = self.lerp(corners)
+        out = self.lerp(corners, out=out)
         return np.clip(out, corners.min(axis=0), corners.max(axis=0), out=out)
 
     def position_gradient(self, corners):

@@ -108,6 +108,25 @@ def affinity_ref(features, g_theta, g_phi, x, y, positions, shift=True):
     return [e / z for e in exps[:-1]], exps[-1] / z
 
 
+def conv3x3_replicate_ref(x, w, b):
+    """3x3 convolution of (h, w, c_in) values; every tap reads the pixel with
+    border-clamped coordinates."""
+    h, wd, c_in = x.shape
+    c_out = w.shape[0]
+    out = np.zeros((h, wd, c_out))
+    for y in range(h):
+        for xx in range(wd):
+            for o in range(c_out):
+                acc = b[o]
+                for ty in range(3):
+                    for tx in range(3):
+                        sy, sx = clamp(y + ty - 1, 0, h - 1), clamp(xx + tx - 1, 0, wd - 1)
+                        for c in range(c_in):
+                            acc += w[o, c, ty, tx] * x[sy, sx, c]
+                out[y, xx, o] = acc
+    return out
+
+
 def dspn_step_ref(values, features, delta, g_theta, g_phi, k):
     h, w = values.shape
     offs = ring_offsets(k)

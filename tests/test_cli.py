@@ -1,9 +1,12 @@
 import dataclasses
 import json
 import os
+import struct
 import subprocess
 import sys
+import tempfile
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +16,11 @@ from hypothesis import strategies as st
 from dspn import Grid, cli, read_grd, read_pgm16, write_grd, write_pgm16
 from dspn.cli import (
     DEFAULT_ABLATE_ROWS,
+    MAX_STATE_BYTES,
     RunConfig,
     build_config,
     build_suite,
+    check_state_size,
     evaluate_suite,
     init_fit_params,
     load_config,
@@ -161,6 +166,101 @@ def _env_with_src():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return env
+
+
+def _raw_grd(path, values) -> None:
+    """A GRD1 file of float32 values, written past the Grid checks."""
+    h, w, c = values.shape
+    path.write_bytes(b"GRD1" + struct.pack("<III", w, h, c) + values.astype("<f4").tobytes())
+
+
+@st.composite
+def complete_inputs(draw, defect):
+    """(sparse, gt or None) arrays with one ``defect`` and the format of each
+    file, for one ``complete`` run; gt None means no ground-truth file."""
+    shape = draw(st.sampled_from(["map", "row", "column"]))
+    n = draw(st.integers(1, 32))
+    h, w = {"map": (n, draw(st.integers(1, 32))), "row": (1, n), "column": (n, 1)}[shape]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = rng.random((h, w)) < draw(st.sampled_from([0.05, 0.3, 1.0]))
+    keep[rng.integers(h), rng.integers(w)] = True
+    sparse = np.where(keep, rng.uniform(0.5, 80.0, (h, w)), 0.0)[..., None]
+    gt = rng.uniform(0.5, 80.0, (h, w, 1))
+    formats = [draw(st.sampled_from(["pgm", "grd"])), draw(st.sampled_from(["pgm", "grd"]))]
+    if defect == "negative":
+        sparse[rng.random((h, w)) < 0.3] = -rng.uniform(0.5, 80.0)
+        formats[0] = "grd"
+    elif defect == "non-finite":
+        which = draw(st.integers(0, 1))
+        (sparse, gt)[which][rng.integers(h), rng.integers(w), 0] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        formats[which] = "grd"
+    elif defect == "channels":
+        which = draw(st.integers(0, 1))
+        arr = (sparse, gt)[which]
+        wide = np.concatenate([arr, arr], axis=2)
+        sparse, gt = (wide, gt) if which == 0 else (sparse, wide)
+        formats[which] = "grd"
+    elif defect == "gt shape":
+        gt = rng.uniform(0.5, 80.0, (h + draw(st.integers(1, 3)), w, 1))
+    elif defect == "zero":
+        (sparse, gt)[draw(st.integers(0, 1))][:] = 0.0
+    return sparse, None if defect == "no gt" else gt, formats
+
+
+class TestCompleteContract:
+    @pytest.mark.parametrize("defect", ["none", "negative", "non-finite", "channels", "gt shape", "zero", "no gt"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), refine=st.sampled_from(["dspn", "cspn", "none"]), steps=st.integers(0, 1))
+    def test_complete_exits_0_inside_the_sparse_hull_or_exits_2(self, defect, data, refine, steps):
+        sparse, gt, formats = data.draw(complete_inputs(defect))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            argv = ["complete", "--set", f"refine={refine}", "--set", f"train.steps={steps}",
+                    "--set", "iters=3", "--set", "train.iters=2", "--set", f"out_dir={tmp / 'out'}"]
+            for name, arr, suffix in (("sparse", sparse, formats[0]), ("gt", gt, formats[1])):
+                if arr is None:
+                    continue
+                path = tmp / f"{name}.{suffix}"
+                if suffix == "pgm":
+                    write_pgm16(Grid(arr), path)
+                else:
+                    _raw_grd(path, arr)
+                argv += ["--set", f"inputs.{name}={path}"]
+            rc = main(argv)
+            assert rc in (0, 2)
+            if rc == 2:
+                return
+            read_back = (read_pgm16 if formats[0] == "pgm" else read_grd)(tmp / f"sparse.{formats[0]}")
+            refined = read_grd(tmp / "out" / "refined.grd").data
+        valid = read_back.channel(0)[read_back.channel(0) > 0.0]
+        lo, hi = valid.min(), valid.max()
+        eps = float(np.finfo(np.float32).eps) * hi
+        assert refined.shape == read_back.data.shape
+        assert np.isfinite(refined).all()
+        assert lo - eps <= refined.min() and refined.max() <= hi + eps
+
+    @pytest.mark.parametrize("height,width,k", [(64, 64, 3), (64, 64, 5), (352, 1216, 3)])
+    def test_default_sizes_fit_the_state_cap(self, height, width, k):
+        assert check_state_size(height, width, k, "dspn") <= MAX_STATE_BYTES
+        assert check_state_size(height, width, k, "cspn") <= MAX_STATE_BYTES
+
+    # the state is estimated before any of it is allocated: these sizes
+    # would need 0.5 to 56 GB
+    @pytest.mark.parametrize("refine", ["dspn", "cspn"])
+    @pytest.mark.parametrize("k", [9, 31])
+    def test_oversized_kernel_on_a_kitti_map_exits_2(self, refine, k, tmp_path, capsys):
+        sparse = tmp_path / "sparse.pgm"
+        depth = np.zeros((352, 1216))
+        depth[::8, ::8] = 10.0
+        write_pgm16(Grid(depth), sparse)
+        rc = main([
+            "complete", "--set", f"refine={refine}", "--set", f"kernel_size={k}",
+            "--set", "train.steps=0", "--set", f"inputs.sparse={sparse}",
+            "--set", f"out_dir={tmp_path / 'out'}",
+        ])
+        assert rc == 2
+        assert f"{refine} with kernel_size={k} on a 1216x352 map" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "refined.grd").exists()
 
 
 class TestModes:
@@ -348,18 +448,40 @@ class TestModes:
         assert read_grd(out / "refined.grd").data.shape == (16, 16, 1)
         assert read_grd(out / "errmap.grd").data.shape == (16, 16, 1)
 
-    def test_benchmark_tracer_finds_every_layer(self, monkeypatch):
+    def test_benchmark_tracer_finds_every_layer(self, monkeypatch, tmp_path):
         # perfbench/tracer.py wraps layer functions by module and name; a
-        # renamed or removed layer would silently drop out of its metrics
+        # renamed or removed layer would silently drop out of its metrics,
+        # and a layer called once per row band would inflate its call counts
         monkeypatch.syspath_prepend(os.path.join(REPO, "perfbench"))
         import tracer
 
+        cfg = load_config(None, ["seed=5", "num_scenes=2", "scene.width=16", "scene.height=16"])
+        scenes = build_suite(cfg)
+        sparse, gt = tmp_path / "sparse.pgm", tmp_path / "gt.pgm"
+        write_pgm16(scenes[0].ds, sparse)
+        write_pgm16(scenes[0].dstar, gt)
         t = tracer.Tracer()
         try:
             t.install()
             assert t.missing == []
+            assert main([
+                "complete", "--set", "train.steps=0", "--set", f"out_dir={tmp_path / 'out'}",
+                "--set", f"inputs.sparse={sparse}", "--set", f"inputs.gt={gt}",
+            ]) == 0
+            toy_fit(scenes, init_fit_params(cfg), lr=cfg.train.lr, steps=1, iters=cfg.train.iters)
         finally:
             t.uninstall()
+        assert {name for _, name, _, _ in t.work} == set(tracer.WORK)
+        steps = [
+            [child[0] for child in t.spans if child[3] == i]
+            for i, span in enumerate(t.spans) if span[0] == "deformable.refine_forward_batched"
+        ]
+        # one refine in complete, then two loss evaluations of two scenes
+        assert steps == [["deformable.dspn_step_forward"] * n for n in [cfg.iters] + [cfg.train.iters] * 4]
+        self_times = tracer.self_times(t.spans)
+        roots = sum(end - start for _, start, end, parent, _ in t.spans if parent < 0)
+        assert min(self_times) >= -1e-9
+        assert sum(self_times) == pytest.approx(roots, rel=1e-9)
 
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(

@@ -14,10 +14,17 @@ from dspn import (
     dspn_step,
     offset_estimator,
 )
-from dspn.deformable import affinity_forward, affinity_forward_batched
+from dspn import deformable
+from dspn.deformable import (
+    affinity_forward,
+    affinity_forward_batched,
+    conv3x3_replicate,
+    refine_forward_batched,
+)
 from dspn.errors import InvalidPosition, ShapeMismatch
+from dspn.gradcheck import dspn_backward
 
-from oracles import affinity_ref, dspn_refine_ref, dspn_step_ref, ring_offsets
+from oracles import affinity_ref, conv3x3_replicate_ref, dspn_refine_ref, dspn_step_ref, ring_offsets
 
 
 def rand_setup(seed, h=6, w=6, d_f=4, d_e=4, k=3, offset_mag=0.45):
@@ -210,6 +217,66 @@ class TestStep:
         bad_emb = EmbeddingParams(np.zeros((4, 7)), np.zeros((4, 7)))
         with pytest.raises(ShapeMismatch):
             dspn_step(Grid(values), features, offsets, bad_emb)
+
+
+class TestConv:
+    # the flat-shift form computes outputs on the pad columns and drops
+    # them; 1-pixel-wide maps have nothing but edges
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (5, 7), (2, 5, 7)])
+    @pytest.mark.parametrize("c_in,c_out", [(1, 3), (6, 8), (8, 16)])
+    def test_matches_scalar_oracle(self, shape, c_in, c_out):
+        rng = np.random.default_rng(sum(shape) + c_in)
+        x = rng.standard_normal(shape + (c_in,))
+        w = rng.standard_normal((c_out, c_in, 3, 3))
+        b = rng.standard_normal(c_out)
+        out = conv3x3_replicate(x, w, b)
+        assert out.shape == shape + (c_out,)
+        scenes = x.reshape((-1,) + x.shape[-3:])
+        ref = np.stack([conv3x3_replicate_ref(s, w, b) for s in scenes]).reshape(out.shape)
+        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+
+
+class TestBands:
+    """Row bands change no pixel's arithmetic: one band, one-row bands and a
+    ragged last band give bit-identical results."""
+
+    # 7 rows of 5 pixels: BAND_PX 15 gives bands of 3, 3 and 1 rows
+    BAND_PX = {"one band": 10**6, "one-row bands": 1, "ragged": 15}
+
+    def _run(self, monkeypatch, band_px, k):
+        monkeypatch.setattr(deformable, "BAND_PX", band_px)
+        rng = np.random.default_rng(40 + k)
+        s, h, w, n = 2, 7, 5, k * k - 1
+        feats = rng.uniform(0.0, 1.0, (s, h, w, 4))
+        delta = rng.uniform(-1.5, 1.5, (s, h, w, n, 2))
+        emb = EmbeddingParams(rng.normal(0.0, 0.4, (4, 4)), rng.normal(0.0, 0.4, (4, 4)))
+        aff = affinity_forward_batched(feats, delta, emb, k)
+        state = refine_forward_batched(
+            rng.uniform(0.0, 10.0, (s, h, w)), rng.uniform(0.0, 10.0, (s, h, w)),
+            rng.uniform(0.0, 1.0, (s, h, w)) * (rng.random((s, h, w)) < 0.3), aff, 3,
+        )
+        arrays = {"w_nb": aff.w_nb, "dots": aff.dots, "out": state.out}
+        for i, rec in enumerate(state.steps):
+            arrays[f"h_in{i}"], arrays[f"h_nb{i}"] = rec.h_in, rec.h_nb
+        for name, g in dspn_backward(rng.standard_normal((s, h, w)), state).items():
+            arrays["d_" + name] = g
+        return arrays
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_band_height_changes_nothing(self, monkeypatch, k):
+        runs = {label: self._run(monkeypatch, px, k) for label, px in self.BAND_PX.items()}
+        base = runs.pop("one band")
+        for label, arrays in runs.items():
+            for name, arr in base.items():
+                assert np.array_equal(arrays[name], arr), (label, name)
+
+    def test_multi_band_step_matches_scalar_oracle(self, monkeypatch):
+        # 6x6 with BAND_PX 12: three bands of two rows
+        monkeypatch.setattr(deformable, "BAND_PX", 12)
+        values, features, offsets, emb, _ = rand_setup(50, offset_mag=1.5)
+        out = dspn_step(Grid(values), features, offsets, emb).channel(0)
+        ref = dspn_step_ref(values, features.data, offsets.delta, emb.g_theta, emb.g_phi, 3)
+        assert np.abs(out - ref).max() <= 1e-12
 
 
 class TestEstimator:

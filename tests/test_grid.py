@@ -177,3 +177,24 @@ def test_taps_position_gradient_matches_central_difference(case):
     fd_y = (read(px, py + eps) - read(px, py - eps)) / (2.0 * eps)
     assert np.abs(ddx - fd_x).max() <= 1e-6
     assert np.abs(ddy - fd_y).max() <= 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks, st.integers(0, 6), st.integers(1, 6))
+def test_taps_rows_are_views_equal_to_taps_of_those_rows(case, top, rows):
+    # positions shaped like a map, (S, rows, cols, taps); the grid read is
+    # the (S, h, w) stack, so the band's indices still address all of it
+    seed, s, h, w, k = case
+    rng = np.random.default_rng(seed)
+    px = rng.uniform(-2.0, w + 1.0, (s, 6, 3, k))
+    py = rng.uniform(-2.0, h + 1.0, (s, 6, 3, k))
+    band = slice(top, top + rows)
+    full = Taps.at(px, py, w, h)
+    part = full.rows(band)
+    whole = Taps.at(px[:, band], py[:, band], w, h)
+    for name in Taps.__slots__:
+        view = getattr(part, name)
+        assert np.array_equal(view, getattr(whole, name)), name
+        assert view.size == 0 or np.shares_memory(view, getattr(full, name)), name
+    v = rng.uniform(-5.0, 5.0, (s, h, w))
+    assert np.array_equal(part.sample(v), whole.sample(v))
