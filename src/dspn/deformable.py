@@ -24,8 +24,9 @@ fixed during refinement, so refine computes it once and reuses it every
 iteration.
 
 On large maps the per-tap reads are bound by memory bandwidth, so the
-affinity's corner products and each propagation step walk the map in row
-bands of about BAND_PX pixels, whose temporaries stay in cache. Banding
+affinity (positions, taps, corner products and softmax) and each
+propagation step walk the map in row bands of about BAND_PX pixels, whose
+temporaries stay in cache. Banding
 changes no pixel's arithmetic, so the outputs are the same for any band
 height; a map of at most BAND_PX pixels (a 64x64 training scene) is one
 band.
@@ -39,7 +40,7 @@ import numpy as np
 
 from .cspn import check_kernel_size, neighbor_offsets
 from .errors import InvalidConfig, InvalidFeature, ShapeMismatch
-from .grid import ContinuousPos, Grid, Taps, binary_mask, pixel_index, same_shape, unit_confidence
+from .grid import ContinuousPos, Grid, Taps, binary_mask, edge_pad, pixel_index, same_shape, unit_confidence
 
 
 class OffsetField:
@@ -332,7 +333,8 @@ def compute_affinity(F: Grid, emb: EmbeddingParams, x_i, nbrs) -> AffinityWeight
     x, y = pixel_index(x_i, F.width, F.height)
     pos = np.array([(float(p[0]), float(p[1])) for p in nbrs], dtype=np.float64).reshape(1, 1, 1, -1, 2)
     aff = _affinity_at(
-        F.data[np.newaxis], F.data[np.newaxis, y : y + 1, x : x + 1], pos[..., 0], pos[..., 1], emb
+        F.data[np.newaxis], F.data[np.newaxis, y : y + 1, x : x + 1],
+        lambda band: (pos[:, band, ..., 0], pos[:, band, ..., 1]), pos.shape[3], emb,
     )
     return AffinityWeights(neighbor_weights=aff.w_nb[0, 0, 0], self_weight=float(aff.w_self[0, 0, 0]))
 
@@ -348,7 +350,7 @@ class AffinityState:
 
     scale: float
     taps: Taps
-    dots: np.ndarray  # (4, S, h, w, n) corner products q . K[corner], stacked like taps.index
+    dots: np.ndarray  # (4, S, h, w, n) corner products q . K[corner], stacked like taps.weights
     q: np.ndarray  # (S, h, w, d_e)
     k_self: np.ndarray  # (S, h, w, d_e)
     w_nb: np.ndarray  # (S, h, w, n)
@@ -383,51 +385,58 @@ def _displaced_positions(x, y, delta: np.ndarray, kernel_size: int):
     return x + offs[:, 0] + delta[..., 0], y + offs[:, 1] + delta[..., 1]
 
 
-def _affinity_at(F: np.ndarray, f_self: np.ndarray, pos_x: np.ndarray, pos_y: np.ndarray,
-                 emb: EmbeddingParams) -> AffinityState:
+def _affinity_at(F: np.ndarray, f_self: np.ndarray, positions, n: int, emb: EmbeddingParams) -> AffinityState:
     """Scaled-dot-product softmax between the (S, h, w, d_F) features
-    ``f_self`` and the (S, H, W, d_F) stack ``F`` sampled at (S, h, w, n)
-    positions.
+    ``f_self`` and the (S, H, W, d_F) stack ``F`` sampled at n positions per
+    pixel. ``positions(band)`` gives the (S, rows, w, n) x and y positions of
+    rows ``band``.
 
-    Each neighbour logit is the bilinear blend of the four corner products
-    ``q . K[corner]`` (see the module docstring), gathered one row band at
-    a time. Logits are max-shifted before exponentiation; the self term is
+    The state is allocated once and filled one row band at a time: the
+    band's taps, then each neighbour logit as the bilinear blend of its four
+    corner products ``q . K[corner]`` (see the module docstring), then the
+    softmax. Logits are max-shifted before exponentiation; the self term is
     part of the normalisation, so all weights are strictly positive and sum
     to 1 with the self weight included.
     """
-    taps = Taps.at(pos_x, pos_y, F.shape[2], F.shape[1])
+    s, h, w = f_self.shape[:3]
+    taps = Taps((s, h, w, n), F.shape[2], F.shape[1])
     scale = np.sqrt(float(F.shape[-1]))
     q = _matmul_last(f_self, emb.g_theta)
     k_self = _matmul_last(f_self, emb.g_phi)
-    keys = _matmul_last(F, emb.g_phi).reshape(-1, emb.embed_dim)
-    dots = np.empty(taps.index.shape)
-    for band in _row_bands(*f_self.shape[1:3]):
-        for idx, out in zip(taps.rows(band).index, dots[:, :, band]):
-            np.einsum("...nd,...d->...n", np.take(keys, idx, axis=0), q[:, band], out=out)
-
-    logit_nb = taps.lerp(dots) / scale
-    logit_self = (q * k_self).sum(axis=-1) / scale
-    # the initial value lets a per-pixel call pass an empty neighbour list
-    top = np.maximum(logit_nb.max(axis=-1, initial=-np.inf), logit_self)
-    e_nb = np.exp(logit_nb - top[..., np.newaxis])
-    e_self = np.exp(logit_self - top)
-    z = e_nb.sum(axis=-1) + e_self
+    keys = edge_pad(_matmul_last(F, emb.g_phi))
+    dots = np.empty(taps.weights.shape)
+    w_nb = np.empty(taps.index.shape)
+    w_self = np.empty((s, h, w))
+    for band in _row_bands(h, w):
+        part = taps.rows(band)
+        part.place(*positions(band))
+        for c in range(4):
+            np.einsum("...nd,...d->...n", part.corner(keys, c), q[:, band], out=dots[c][:, band])
+        logit_nb = part.lerp(dots[:, :, band]) / scale
+        logit_self = (q[:, band] * k_self[:, band]).sum(axis=-1) / scale
+        # the initial value lets a per-pixel call pass an empty neighbour list
+        top = np.maximum(logit_nb.max(axis=-1, initial=-np.inf), logit_self)
+        e_nb = np.exp(logit_nb - top[..., np.newaxis])
+        e_self = np.exp(logit_self - top)
+        z = e_nb.sum(axis=-1) + e_self
+        np.divide(e_nb, z[..., np.newaxis], out=w_nb[:, band])
+        np.divide(e_self, z, out=w_self[:, band])
     return AffinityState(
         scale=scale, taps=taps, dots=dots, q=q, k_self=k_self,
-        w_nb=e_nb / z[..., np.newaxis], w_self=e_self / z, F=f_self, stack=F, emb=emb,
+        w_nb=w_nb, w_self=w_self, F=f_self, stack=F, emb=emb,
     )
 
 
 def affinity_forward_batched(F: np.ndarray, delta: np.ndarray, emb: EmbeddingParams, kernel_size: int) -> AffinityState:
     """Affinity of every pixel of an (S, h, w, d_F) stack under (S, h, w, n, 2) offsets."""
     h, w = F.shape[1:3]
-    pos_x, pos_y = _displaced_positions(
-        np.arange(w, dtype=np.float64)[np.newaxis, np.newaxis, :, np.newaxis],
-        np.arange(h, dtype=np.float64)[np.newaxis, :, np.newaxis, np.newaxis],
-        delta,
-        kernel_size,
-    )
-    return _affinity_at(F, F, pos_x, pos_y, emb)
+    cols = np.arange(w, dtype=np.float64)[np.newaxis, np.newaxis, :, np.newaxis]
+    rows = np.arange(h, dtype=np.float64)[np.newaxis, :, np.newaxis, np.newaxis]
+
+    def positions(band):
+        return _displaced_positions(cols, rows[:, band], delta[:, band], kernel_size)
+
+    return _affinity_at(F, F, positions, delta.shape[3], emb)
 
 
 def affinity_forward(F: np.ndarray, delta: np.ndarray, emb: EmbeddingParams, kernel_size: int) -> AffinityState:
@@ -465,8 +474,9 @@ def dspn_step_forward(h_arr: np.ndarray, aff: AffinityState):
     """
     out = np.empty_like(h_arr)
     h_nb = np.empty(aff.w_nb.shape)
+    padded = edge_pad(h_arr)
     for band in _row_bands(*h_arr.shape[1:]):
-        nb = aff.taps.rows(band).sample(h_arr, out=h_nb[:, band])
+        nb = aff.taps.rows(band).sample(padded, out=h_nb[:, band])
         here = h_arr[:, band]
         np.einsum("shwn,shwn->shw", aff.w_nb[:, band], nb - here[..., np.newaxis], out=out[:, band])
         out[:, band] += here

@@ -6,7 +6,8 @@ class DspnError(Exception):
 
 
 class InvalidGrid(DspnError):
-    """Grid is empty, malformed, or contains non-finite values."""
+    """Grid is empty, malformed, contains non-finite values, or holds a
+    negative depth."""
 
 
 class InvalidPosition(DspnError):

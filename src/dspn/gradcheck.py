@@ -111,16 +111,19 @@ def dspn_backward(grad_out, state: RefineState, detach_weights: bool = False) ->
     dpos_x = np.zeros_like(aff.w_nb)
     dpos_y = np.zeros_like(aff.w_nb)
     one_minus_sum = 1.0 - aff.w_nb.sum(axis=3)
+    # the four corners as indices into the unpadded stack, shared by every
+    # gather and scatter below
+    index = aff.taps.corner_index()
 
     for rec in reversed(state.steps):
         g = g * (1.0 - state.replace_factor)
         if not detach_weights:
             dw_nb += g[..., np.newaxis] * (rec.h_nb - rec.h_in[..., np.newaxis])
         gw = g[..., np.newaxis] * aff.w_nb
-        ddx, ddy = aff.taps.position_gradient(aff.taps.corners(rec.h_in))
+        ddx, ddy = aff.taps.position_gradient(np.take(rec.h_in, index))
         dpos_x += gw * ddx
         dpos_y += gw * ddy
-        g = aff.taps.scatter(gw, g.shape) + g * one_minus_sum
+        g = aff.taps.scatter(gw, index) + g * one_minus_sum
 
     d_theta = np.zeros_like(aff.emb.g_theta)
     d_phi = np.zeros_like(aff.emb.g_phi)
@@ -140,7 +143,7 @@ def dspn_backward(grad_out, state: RefineState, detach_weights: bool = False) ->
         # per-pixel feature-space gradient of the neighbour logits
         stack = aff.stack.reshape(-1, d_f)
         h = np.zeros(aff.F.shape)
-        for idx, w in zip(aff.taps.index, aff.taps.weights):
+        for idx, w in zip(index, aff.taps.weights):
             h += np.einsum("...n,...nf->...f", dlogit_nb * w, np.take(stack, idx, axis=0))
         h = h.reshape(-1, d_f)
         q = aff.q.reshape(-1, d_e)

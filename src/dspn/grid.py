@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidConfidence, InvalidGrid, InvalidMask, InvalidPosition
+from .errors import InvalidConfidence, InvalidGrid, InvalidMask, InvalidPosition, ShapeMismatch
 
 
 class ContinuousPos(NamedTuple):
@@ -104,78 +104,122 @@ def unit_confidence(M: Grid) -> np.ndarray:
     return conf
 
 
+def edge_pad(values: np.ndarray) -> np.ndarray:
+    """An (S, H, W, ...) stack with its rows and columns padded by one
+    replicated edge pixel, shape (S, H + 2, W + 2, ...): the stack every
+    :class:`Taps` read addresses."""
+    s, h, w = values.shape[:3]
+    out = np.empty((s, h + 2, w + 2) + values.shape[3:], dtype=values.dtype)
+    out[:, 1:-1, 1:-1] = values
+    out[:, 0, 1:-1] = values[:, 0]
+    out[:, -1, 1:-1] = values[:, -1]
+    out[:, :, 0] = out[:, :, 1]
+    out[:, :, -1] = out[:, :, -2]
+    return out
+
+
 class Taps:
     """Bilinear taps over a stack of ``(S, h, w)`` grids: the one primitive
     behind every sampled read.
 
-    Sampling positions carry the stack index as their leading axis. ``index``
-    holds the four border-clamped corner indices into the stack flattened to
-    ``(S*h*w,)``, stacked in corner order 00, 10, 01, 11 along a leading axis
-    of length 4, so every gather is a cheap 1-D take and ``index.ravel()`` is
-    the concatenated scatter index. ``fx`` and ``fy`` are the fractional
-    parts of the unclamped position: a position fully outside the grid
-    degrades to a constant border read with zero spatial derivative. Corner
-    naming is ``(x, y)``: corner 10 is one column right of corner 00.
+    Sampling positions carry the stack index as their leading axis. Reads
+    address the stack edge-padded by one pixel (:func:`edge_pad`), flattened:
+    ``index`` holds one int64 per tap, the top-left corner of its 2x2 block,
+    at row ``clip(floor(y), -1, h-1) + 1`` and column
+    ``clip(floor(x), -1, w-1) + 1`` of the padded stack. The four corners
+    then sit at ``index + (0, 1, w+2, w+3)``, in corner order 00, 10, 01, 11,
+    and the padding makes each one the border-clamped read. ``fx`` and
+    ``fy`` are the fractional parts of the unclamped position: a position
+    fully outside the grid degrades to a constant border read with zero
+    spatial derivative. Corner naming is ``(x, y)``: corner 10 is one column
+    right of corner 00.
 
-    Everything that does not depend on the values read (``1 - fx``,
-    ``1 - fy`` and the four bilinear ``weights``, stacked like ``index``) is
-    built once here, so a propagation step that reads through the same taps
-    many times only gathers and blends.
+    The four bilinear ``weights``, stacked along a leading axis of length 4,
+    are built once here, so a propagation step that reads through the same
+    taps many times only gathers and blends.
     """
 
-    __slots__ = ("index", "fx", "fy", "gx", "gy", "weights")
+    __slots__ = ("stack_shape", "index", "fx", "fy", "weights")
 
-    def __init__(self, index: np.ndarray, fx: np.ndarray, fy: np.ndarray):
-        self.index = index
-        self.fx = fx
-        self.fy = fy
-        self.gx = 1.0 - fx
-        self.gy = 1.0 - fy
-        self.weights = np.empty(index.shape)
-        np.multiply(self.gx, self.gy, out=self.weights[0])
-        np.multiply(fx, self.gy, out=self.weights[1])
-        np.multiply(self.gx, fy, out=self.weights[2])
-        np.multiply(fx, fy, out=self.weights[3])
+    def __init__(self, shape, width: int, height: int):
+        """Unfilled taps for positions of shape (S, ...) over an
+        (S, height, width) stack; see :meth:`place`."""
+        self.stack_shape = (shape[0], height, width)
+        self.index = np.empty(shape, dtype=np.int64)
+        self.fx = np.empty(shape)
+        self.fy = np.empty(shape)
+        self.weights = np.empty((4,) + tuple(shape))
 
     @classmethod
     def at(cls, px: np.ndarray, py: np.ndarray, width: int, height: int) -> "Taps":
         """Taps for positions of shape (S, ...) over an (S, height, width) stack."""
         px = np.asarray(px, dtype=np.float64)
-        py = np.asarray(py, dtype=np.float64)
+        taps = cls(px.shape, width, height)
+        taps.place(px, py)
+        return taps
+
+    def place(self, px: np.ndarray, py: np.ndarray) -> None:
+        """Fill these taps in place for positions shaped like them; a
+        :meth:`rows` view fills one band."""
+        s, height, width = self.stack_shape
         x0 = np.floor(px)
         y0 = np.floor(py)
+        np.subtract(px, x0, out=self.fx)
+        np.subtract(py, y0, out=self.fy)
         # clip before the int cast so huge floats cannot overflow int64
-        ix0 = np.clip(x0, 0, width - 1).astype(np.int64)
-        ix1 = np.clip(x0 + 1.0, 0, width - 1).astype(np.int64)
-        iy0 = np.clip(y0, 0, height - 1).astype(np.int64)
-        iy1 = np.clip(y0 + 1.0, 0, height - 1).astype(np.int64)
-        s = px.shape[0]
-        stack = (np.arange(s, dtype=np.int64) * height).reshape((s,) + (1,) * (px.ndim - 1))
-        row0 = (stack + iy0) * width
-        row1 = (stack + iy1) * width
-        index = np.empty((4,) + px.shape, dtype=np.int64)
-        np.add(row0, ix0, out=index[0])
-        np.add(row0, ix1, out=index[1])
-        np.add(row1, ix0, out=index[2])
-        np.add(row1, ix1, out=index[3])
-        return cls(index, px - x0, py - y0)
+        col = np.clip(x0, -1, width - 1, out=x0).astype(np.int64)
+        row = np.clip(y0, -1, height - 1, out=y0).astype(np.int64)
+        # flat index of padded pixel (1, 1) of each scene
+        origin = (np.arange(s, dtype=np.int64) * (height + 2) + 1) * (width + 2) + 1
+        np.multiply(row, width + 2, out=self.index)
+        self.index += col
+        self.index += origin.reshape((s,) + (1,) * (px.ndim - 1))
+        gx = 1.0 - self.fx
+        gy = 1.0 - self.fy
+        np.multiply(gx, gy, out=self.weights[0])
+        np.multiply(self.fx, gy, out=self.weights[1])
+        np.multiply(gx, self.fy, out=self.weights[2])
+        np.multiply(self.fx, self.fy, out=self.weights[3])
 
     def rows(self, band: slice) -> "Taps":
         """The taps of rows ``band`` of (S, h, w, ...) positions, as views.
 
-        Corner indices still address the whole flattened stack, so a band
-        of taps reads values from any row.
+        The index still addresses the whole padded stack, so a band of taps
+        reads values from any row.
         """
         part = object.__new__(Taps)
-        part.index = self.index[:, :, band]
+        part.stack_shape = self.stack_shape
+        part.index = self.index[:, band]
+        part.fx = self.fx[:, band]
+        part.fy = self.fy[:, band]
         part.weights = self.weights[:, :, band]
-        for name in ("fx", "fy", "gx", "gy"):
-            setattr(part, name, getattr(self, name)[:, band])
         return part
 
-    def corners(self, values: np.ndarray) -> np.ndarray:
-        """The four corner reads of (S, h, w) values, stacked like ``index``."""
-        return np.take(values.reshape(-1), self.index)
+    def corner(self, padded: np.ndarray, c: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Corner ``c``'s reads (0..3, in corner order) of an edge-padded
+        (S, h+2, w+2, ...) stack; trailing value axes follow the tap axes."""
+        s, height, width = self.stack_shape
+        if padded.shape[:3] != (s, height + 2, width + 2):
+            raise ShapeMismatch(f"taps read a padded {(s, height + 2, width + 2)} stack, got shape {padded.shape}")
+        row = width + 2
+        flat = padded.reshape((-1,) + padded.shape[3:])[(0, 1, row, row + 1)[c]:]
+        # every shifted index is in range; "clip" lets take write straight into out
+        return np.take(flat, self.index, axis=0, out=out, mode="clip")
+
+    def corners(self, padded: np.ndarray) -> np.ndarray:
+        """The four corner reads of an edge-padded (S, h+2, w+2) stack,
+        stacked along a leading axis of 4 in corner order."""
+        out = np.empty((4,) + self.index.shape, dtype=padded.dtype)
+        for c in range(4):
+            self.corner(padded, c, out=out[c])
+        return out
+
+    def corner_index(self) -> np.ndarray:
+        """The four corners' indices into the unpadded (S, h, w) stack
+        flattened, stacked like :meth:`corners`: for callers that gather or
+        scatter through the same taps many times."""
+        size = int(np.prod(self.stack_shape))
+        return self.corners(edge_pad(np.arange(size).reshape(self.stack_shape)))
 
     def lerp(self, corners, out: np.ndarray | None = None) -> np.ndarray:
         """Bilinear blend of four scalar corner reads (no clamping)."""
@@ -185,13 +229,15 @@ class Taps:
             out += np.multiply(w, v, out=term)
         return out
 
-    def sample(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Bilinear samples of (S, h, w) values, clamped into the hull of
-        their four corners so the convex-combination bound holds exactly,
-        not just to roundoff."""
-        corners = self.corners(values)
+    def sample(self, padded: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Bilinear samples of an edge-padded (S, h+2, w+2) stack, clamped
+        into the hull of their four corners so the convex-combination bound
+        holds exactly, not just to roundoff."""
+        corners = self.corners(padded)
         out = self.lerp(corners, out=out)
-        return np.clip(out, corners.min(axis=0), corners.max(axis=0), out=out)
+        # np.clip with array bounds is several times slower than these two
+        np.maximum(out, corners.min(axis=0), out=out)
+        return np.minimum(out, corners.max(axis=0), out=out)
 
     def position_gradient(self, corners):
         """d(lerp)/d(position) as (d/dx, d/dy), from four scalar corner reads.
@@ -202,19 +248,19 @@ class Taps:
         both corners equal and the derivative correctly vanishes.
         """
         v00, v10, v01, v11 = corners
-        ddx = self.gy * (v10 - v00)
+        ddx = (1.0 - self.fy) * (v10 - v00)
         ddx += self.fy * (v11 - v01)
-        ddy = self.gx * (v01 - v00)
+        ddy = (1.0 - self.fx) * (v01 - v00)
         ddy += self.fx * (v11 - v10)
         return ddx, ddy
 
-    def scatter(self, grad: np.ndarray, shape) -> np.ndarray:
-        """Adjoint of :meth:`lerp`: accumulate per-tap gradients into an
-        (S, h, w) ``shape`` stack."""
+    def scatter(self, grad: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Adjoint of :meth:`lerp`: accumulate per-tap gradients into the
+        unpadded (S, h, w) stack through the taps' :meth:`corner_index`."""
         weights = self.weights * grad
         return np.bincount(
-            self.index.ravel(), weights=weights.ravel(), minlength=int(np.prod(shape))
-        ).reshape(shape)
+            index.ravel(), weights=weights.ravel(), minlength=int(np.prod(self.stack_shape))
+        ).reshape(self.stack_shape)
 
 
 def bilinear_sample(g: Grid, p, c: int = 0) -> float:
@@ -228,4 +274,4 @@ def bilinear_sample(g: Grid, p, c: int = 0) -> float:
     if not (np.isfinite(px) and np.isfinite(py)):
         raise InvalidPosition(f"non-finite position ({px}, {py})")
     taps = Taps.at(np.array([px]), np.array([py]), g.width, g.height)
-    return float(taps.sample(g.channel(c)[np.newaxis])[0])
+    return float(taps.sample(edge_pad(g.channel(c)[np.newaxis]))[0])

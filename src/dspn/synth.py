@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confidence import ConfidenceConfig, heuristic_confidence
-from .errors import EmptySparse, InvalidSpec, ShapeMismatch
+from .errors import EmptySparse, InvalidGrid, InvalidSpec, ShapeMismatch
 from .grid import Grid, binary_mask, same_shape
 
 SCENE_KINDS = ("plane", "step", "slope", "sphere-cap", "composite")
@@ -295,10 +295,13 @@ def build_scene(
     """The front end: coarse depth, features and heuristic confidence for
     sparse measurements ``ds`` with mask ``m``. Without ground truth
     (``dstar`` None) the coarse map stands in for it. Every input map must be
-    single-channel."""
+    single-channel, and no depth may be negative: 0 marks a missing pixel."""
     for name, g in (("ground truth", dstar), ("sparse map", ds), ("mask", m)):
         if g is not None and g.channels != 1:
             raise ShapeMismatch(f"{name} must be single-channel, got {g.channels} channels")
+    for name, g in (("ground truth", dstar), ("sparse map", ds)):
+        if g is not None and g.data.min() < 0.0:
+            raise InvalidGrid(f"{name} holds a negative depth ({g.data.min():g}); 0 marks a missing pixel")
     if dstar is not None and (dstar.height, dstar.width) != (ds.height, ds.width):
         raise ShapeMismatch(
             f"ground truth is {dstar.width}x{dstar.height}, sparse map is {ds.width}x{ds.height}"

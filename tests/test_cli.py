@@ -26,6 +26,7 @@ from dspn.cli import (
     load_config,
     main,
 )
+from dspn.deformable import EmbeddingParams, affinity_forward_batched
 from dspn.errors import DspnError, InvalidConfig
 from dspn.gradcheck import toy_fit
 
@@ -188,7 +189,9 @@ def complete_inputs(draw, defect):
     gt = rng.uniform(0.5, 80.0, (h, w, 1))
     formats = [draw(st.sampled_from(["pgm", "grd"])), draw(st.sampled_from(["pgm", "grd"]))]
     if defect == "negative":
-        sparse[rng.random((h, w)) < 0.3] = -rng.uniform(0.5, 80.0)
+        negative = rng.random((h, w)) < 0.3
+        negative[rng.integers(h), rng.integers(w)] = True
+        sparse[negative] = -rng.uniform(0.5, 80.0)
         formats[0] = "grd"
     elif defect == "non-finite":
         which = draw(st.integers(0, 1))
@@ -228,6 +231,8 @@ class TestCompleteContract:
                 argv += ["--set", f"inputs.{name}={path}"]
             rc = main(argv)
             assert rc in (0, 2)
+            # a negative depth is a bad input, never a missing pixel
+            assert defect != "negative" or rc == 2
             if rc == 2:
                 return
             read_back = (read_pgm16 if formats[0] == "pgm" else read_grd)(tmp / f"sparse.{formats[0]}")
@@ -244,8 +249,39 @@ class TestCompleteContract:
         assert check_state_size(height, width, k, "dspn") <= MAX_STATE_BYTES
         assert check_state_size(height, width, k, "cspn") <= MAX_STATE_BYTES
 
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_state_estimate_matches_the_affinity_state(self, k):
+        # the per-tap fields of a real 64x64 affinity state come to exactly
+        # the bytes per tap the cap charges
+        rng = np.random.default_rng(k)
+        n = k * k - 1
+        emb = EmbeddingParams(rng.normal(0.0, 0.4, (4, 6)), rng.normal(0.0, 0.4, (4, 6)))
+        aff = affinity_forward_batched(
+            rng.uniform(0.0, 1.0, (1, 64, 64, 6)), rng.normal(0.0, 1.0, (1, 64, 64, n, 2)), emb, k
+        )
+        fields = [aff.taps.index, aff.taps.weights, aff.taps.fx, aff.taps.fy, aff.dots, aff.w_nb]
+        taps = 64 * 64 * n
+        assert all(arr.size % taps == 0 for arr in fields)
+        assert sum(arr.nbytes for arr in fields) == taps * cli.STATE_BYTES_PER_TAP["dspn"]
+        assert check_state_size(64, 64, k, "dspn") == taps * cli.STATE_BYTES_PER_TAP["dspn"]
+
+    @pytest.mark.parametrize("where", ["sparse", "gt"])
+    def test_negative_depth_exits_2_naming_the_map(self, where, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        maps = {"sparse": np.where(rng.random((16, 16)) < 0.3, 20.0, 0.0), "gt": np.full((16, 16), 25.0)}
+        maps["sparse"][0, 0] = 20.0
+        maps[where][5, 7] = -1.0
+        argv = ["complete", "--set", "train.steps=0", "--set", f"out_dir={tmp_path / 'out'}"]
+        for name, arr in maps.items():
+            write_grd(Grid(arr), tmp_path / f"{name}.grd")
+            argv += ["--set", f"inputs.{name}={tmp_path / f'{name}.grd'}"]
+        assert main(argv) == 2
+        named = {"sparse": "sparse map", "gt": "ground truth"}[where]
+        assert f"{named} holds a negative depth" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "refined.grd").exists()
+
     # the state is estimated before any of it is allocated: these sizes
-    # would need 0.5 to 56 GB
+    # would need 0.5 to 39 GB
     @pytest.mark.parametrize("refine", ["dspn", "cspn"])
     @pytest.mark.parametrize("k", [9, 31])
     def test_oversized_kernel_on_a_kitti_map_exits_2(self, refine, k, tmp_path, capsys):

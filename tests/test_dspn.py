@@ -255,7 +255,9 @@ class TestBands:
             rng.uniform(0.0, 10.0, (s, h, w)), rng.uniform(0.0, 10.0, (s, h, w)),
             rng.uniform(0.0, 1.0, (s, h, w)) * (rng.random((s, h, w)) < 0.3), aff, 3,
         )
-        arrays = {"w_nb": aff.w_nb, "dots": aff.dots, "out": state.out}
+        arrays = {"w_nb": aff.w_nb, "w_self": aff.w_self, "dots": aff.dots, "out": state.out}
+        for name in ("index", "weights", "fx", "fy"):
+            arrays["taps." + name] = getattr(aff.taps, name)
         for i, rec in enumerate(state.steps):
             arrays[f"h_in{i}"], arrays[f"h_nb{i}"] = rec.h_in, rec.h_nb
         for name, g in dspn_backward(rng.standard_normal((s, h, w)), state).items():

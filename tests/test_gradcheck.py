@@ -26,7 +26,7 @@ from dspn.gradcheck import (
     relative_errors,
     toy_fit,
 )
-from dspn.grid import Taps
+from dspn.grid import Taps, edge_pad
 from dspn.synth import SceneSpec, SparseSpec, prepare_scene
 
 
@@ -200,7 +200,7 @@ class TestEstimatorGradients:
 def test_lattice_position_gradient_is_right_sided():
     values = np.array([[0.0, 1.0, 3.0], [0.0, 1.0, 3.0]])
     taps = Taps.at(np.array([1.0]), np.array([0.0]), 3, 2)
-    ddx, ddy = taps.position_gradient(taps.corners(values[np.newaxis]))
+    ddx, ddy = taps.position_gradient(taps.corners(edge_pad(values[np.newaxis])))
     assert ddx[0] == 2.0  # slope of the right cell, not the centred 1.5
     assert ddy[0] == 0.0
 

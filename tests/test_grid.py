@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dspn import Grid, bilinear_sample
-from dspn.errors import InvalidGrid, InvalidPosition
-from dspn.grid import Taps
+from dspn.errors import InvalidGrid, InvalidPosition, ShapeMismatch
+from dspn.grid import Taps, edge_pad
 
 from oracles import bilinear_ref
 
@@ -132,8 +132,8 @@ def test_taps_scatter_is_adjoint_of_lerp(case):
     rng, _, _, taps = _random_taps(seed, s, h, w, k)
     v = rng.uniform(-5.0, 5.0, (s, h, w))
     g = rng.uniform(-5.0, 5.0, (s, k))
-    lhs = float((taps.lerp(taps.corners(v)) * g).sum())
-    rhs = float((v * taps.scatter(g, v.shape)).sum())
+    lhs = float((taps.lerp(taps.corners(edge_pad(v))) * g).sum())
+    rhs = float((v * taps.scatter(g, taps.corner_index())).sum())
     scale = float((np.abs(v).max() * np.abs(g).sum()))
     assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -144,7 +144,7 @@ def test_taps_sample_within_corner_hull(case):
     seed, s, h, w, k = case
     rng, px, py, taps = _random_taps(seed, s, h, w, k)
     v = rng.uniform(-5.0, 5.0, (s, h, w))
-    out = taps.sample(v)
+    out = taps.sample(edge_pad(v))
     x0, y0 = np.floor(px).astype(np.int64), np.floor(py).astype(np.int64)
     for i in range(s):
         for j in range(k):
@@ -168,10 +168,10 @@ def test_taps_position_gradient_matches_central_difference(case):
 
     def read(qx, qy):
         probe = Taps.at(qx, qy, w, h)
-        return probe.lerp(probe.corners(v))
+        return probe.lerp(probe.corners(edge_pad(v)))
 
     taps = Taps.at(px, py, w, h)
-    ddx, ddy = taps.position_gradient(taps.corners(v))
+    ddx, ddy = taps.position_gradient(taps.corners(edge_pad(v)))
     eps = 1e-6
     fd_x = (read(px + eps, py) - read(px - eps, py)) / (2.0 * eps)
     fd_y = (read(px, py + eps) - read(px, py - eps)) / (2.0 * eps)
@@ -183,7 +183,7 @@ def test_taps_position_gradient_matches_central_difference(case):
 @given(stacks, st.integers(0, 6), st.integers(1, 6))
 def test_taps_rows_are_views_equal_to_taps_of_those_rows(case, top, rows):
     # positions shaped like a map, (S, rows, cols, taps); the grid read is
-    # the (S, h, w) stack, so the band's indices still address all of it
+    # the padded (S, h, w) stack, so the band's index still addresses all of it
     seed, s, h, w, k = case
     rng = np.random.default_rng(seed)
     px = rng.uniform(-2.0, w + 1.0, (s, 6, 3, k))
@@ -192,9 +192,51 @@ def test_taps_rows_are_views_equal_to_taps_of_those_rows(case, top, rows):
     full = Taps.at(px, py, w, h)
     part = full.rows(band)
     whole = Taps.at(px[:, band], py[:, band], w, h)
-    for name in Taps.__slots__:
+    for name in ("index", "weights", "fx", "fy"):
         view = getattr(part, name)
         assert np.array_equal(view, getattr(whole, name)), name
         assert view.size == 0 or np.shares_memory(view, getattr(full, name)), name
-    v = rng.uniform(-5.0, 5.0, (s, h, w))
+    v = edge_pad(rng.uniform(-5.0, 5.0, (s, h, w)))
     assert np.array_equal(part.sample(v), whole.sample(v))
+
+
+far = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.sampled_from([-1e300, 1e300, -1e6, 1e6, -1.0, 0.0]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 2),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.lists(st.tuples(far, far), min_size=1, max_size=8),
+)
+def test_taps_clamp_positions_far_outside_the_map(seed, s, h, w, points):
+    # one padded base index must reproduce the border clamp of all four
+    # corners, for positions up to 1e300 outside grids as small as 1x1
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(-5.0, 5.0, (s, h, w))
+    px = np.array([[p[0] for p in points]] * s)
+    py = np.array([[p[1] for p in points]] * s)
+    taps = Taps.at(px, py, w, h)
+    corners = taps.corners(edge_pad(v))
+    samples = taps.sample(edge_pad(v))
+    for j, (x, y) in enumerate(points):
+        x0, y0 = np.floor(x), np.floor(y)
+        cols = [int(np.clip(c, 0, w - 1)) for c in (x0, x0 + 1.0)]
+        rows = [int(np.clip(r, 0, h - 1)) for r in (y0, y0 + 1.0)]
+        for i in range(s):
+            expected = [v[i, r, c] for r in rows for c in cols]
+            assert [corners[c, i, j] for c in range(4)] == expected
+            assert abs(samples[i, j] - bilinear_ref(v[i], x, y)) <= 1e-12
+
+
+def test_taps_reject_an_unpadded_stack():
+    v = np.zeros((1, 4, 5))
+    taps = Taps.at(np.array([[1.5]]), np.array([[2.5]]), 5, 4)
+    with pytest.raises(ShapeMismatch):
+        taps.corners(v)
+    assert taps.sample(edge_pad(v))[0, 0] == 0.0
