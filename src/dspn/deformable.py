@@ -11,7 +11,9 @@ The bilinear read is linear, so the logit ``q . (G_phi f_nb)`` of a tap
 equals the bilinear blend of its four corner products ``q . K[corner]``,
 where ``K = F G_phi^T`` is embedded once per pixel, not once per tap. The
 affinity therefore reads one scalar per corner and keeps no per-tap feature
-or key tensor; the backward pass re-gathers features one corner at a time.
+or key tensor. It keeps the corner products only as the two position
+gradients of each logit; the backward pass re-derives the embeddings and the
+taps' fractions, and re-gathers features one corner at a time.
 
 The numerical core works on scene batches, shape (S, h, w, ...), and reads
 every sampled value (corner products here, depth in each step, their
@@ -25,22 +27,34 @@ iteration.
 
 On large maps the per-tap reads are bound by memory bandwidth, so the
 affinity (positions, taps, corner products and softmax) and each
-propagation step walk the map in row bands of about BAND_PX pixels, whose
-temporaries stay in cache. Banding
-changes no pixel's arithmetic, so the outputs are the same for any band
-height; a map of at most BAND_PX pixels (a 64x64 training scene) is one
-band.
+propagation step walk the map in row bands of about BAND_TAPS taps (half
+that for the affinity, whose scratch per tap is twice a step's), whose
+temporaries stay in cache. Banding changes no pixel's arithmetic, so the
+outputs are the same for any band height; a 64x64 training scene is one
+step band at k=3 and four at k=5.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .cspn import check_kernel_size, neighbor_offsets
 from .errors import InvalidConfig, InvalidFeature, ShapeMismatch
-from .grid import ContinuousPos, Grid, Taps, binary_mask, edge_pad, pixel_index, same_shape, unit_confidence
+from .grid import (
+    ContinuousPos,
+    Grid,
+    Taps,
+    binary_mask,
+    check_positions,
+    edge_pad,
+    pixel_index,
+    position_gradient,
+    same_shape,
+    unit_confidence,
+)
 
 
 class OffsetField:
@@ -332,6 +346,7 @@ def compute_affinity(F: Grid, emb: EmbeddingParams, x_i, nbrs) -> AffinityWeight
         raise InvalidFeature("feature grid contains NaN or Inf")
     x, y = pixel_index(x_i, F.width, F.height)
     pos = np.array([(float(p[0]), float(p[1])) for p in nbrs], dtype=np.float64).reshape(1, 1, 1, -1, 2)
+    check_positions(pos[..., 0], pos[..., 1])
     aff = _affinity_at(
         F.data[np.newaxis], F.data[np.newaxis, y : y + 1, x : x + 1],
         lambda band: (pos[:, band, ..., 0], pos[:, band, ..., 1]), pos.shape[3], emb,
@@ -341,32 +356,44 @@ def compute_affinity(F: Grid, emb: EmbeddingParams, x_i, nbrs) -> AffinityWeight
 
 @dataclass
 class AffinityState:
-    """Batched affinity weights plus everything the backward pass reuses.
+    """Batched affinity weights plus what the backward pass cannot cheaply
+    re-derive.
 
     Leading axes (S, h, w) are the scene stack and the pixels of each
-    scene; the per-pixel view is a 1x1 map. No field has a per-tap channel
-    axis.
+    scene; the per-pixel view is a 1x1 map. Per tap it keeps 64 B: the
+    taps' index and weights, the softmax weight and the two position
+    gradients of the logit. The taps' fractions follow from ``positions``
+    and the embeddings from ``F`` (see :meth:`embeddings`), so no field has
+    a per-tap channel axis and none holds per-pixel embeddings.
     """
 
     scale: float
     taps: Taps
-    dots: np.ndarray  # (4, S, h, w, n) corner products q . K[corner], stacked like taps.weights
-    q: np.ndarray  # (S, h, w, d_e)
-    k_self: np.ndarray  # (S, h, w, d_e)
+    logit_grad: np.ndarray  # (2, S, h, w, n) d/dx, d/dy of each neighbour's q . K read (logit * scale)
     w_nb: np.ndarray  # (S, h, w, n)
     w_self: np.ndarray  # (S, h, w)
     F: np.ndarray  # (S, h, w, d_F) features at the propagating pixels
     stack: np.ndarray  # (S, H, W, d_F) the feature stack the taps read
     emb: EmbeddingParams
+    # row band -> its (S, rows, w, n) x and y sampling positions; reads the
+    # caller's offsets as ``stack`` is the caller's features, so neither may
+    # change between the forward and the backward pass
+    positions: Callable
+
+    def embeddings(self):
+        """The pixels' (q, k_self), recomputed exactly as the forward pass
+        formed them."""
+        return _embed(self.F, self.emb)
 
 
-BAND_PX = 4096  # pixels per row band: a band's per-tap temporaries stay in cache
+BAND_TAPS = 32768  # taps per row band: a band's per-tap temporaries stay in cache
 
 
-def _row_bands(height: int, width: int):
-    """Row slices of ``max(1, BAND_PX // width)`` rows covering a map; the
-    last one may be shorter. A map of at most BAND_PX pixels is one band."""
-    rows = max(1, BAND_PX // width)
+def _row_bands(height: int, width: int, n: int):
+    """Row slices of ``max(1, BAND_TAPS // (width * n))`` rows covering a map
+    of n taps per pixel; the last one may be shorter. A map of at most
+    BAND_TAPS taps is one band."""
+    rows = max(1, BAND_TAPS // max(1, width * n))
     for top in range(0, height, rows):
         yield slice(top, min(top + rows, height))
 
@@ -375,6 +402,11 @@ def _matmul_last(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     """x @ m.T over the trailing axis via one BLAS call."""
     lead = x.shape[:-1]
     return (x.reshape(-1, x.shape[-1]) @ m.T).reshape(lead + (m.shape[0],))
+
+
+def _embed(f_self: np.ndarray, emb: EmbeddingParams):
+    """Query and self key, (q, k_self), of (S, h, w, d_F) features."""
+    return _matmul_last(f_self, emb.g_theta), _matmul_last(f_self, emb.g_phi)
 
 
 def _displaced_positions(x, y, delta: np.ndarray, kernel_size: int):
@@ -393,37 +425,45 @@ def _affinity_at(F: np.ndarray, f_self: np.ndarray, positions, n: int, emb: Embe
 
     The state is allocated once and filled one row band at a time: the
     band's taps, then each neighbour logit as the bilinear blend of its four
-    corner products ``q . K[corner]`` (see the module docstring), then the
-    softmax. Logits are max-shifted before exponentiation; the self term is
-    part of the normalisation, so all weights are strictly positive and sum
-    to 1 with the self weight included.
+    corner products ``q . K[corner]`` (see the module docstring) and its
+    position gradient, then the softmax. The corner products and the taps'
+    fractions are the band's scratch. Logits are max-shifted before
+    exponentiation; the self term is part of the normalisation, so all
+    weights are strictly positive and sum to 1 with the self weight
+    included.
     """
     s, h, w = f_self.shape[:3]
     taps = Taps((s, h, w, n), F.shape[2], F.shape[1])
     scale = np.sqrt(float(F.shape[-1]))
-    q = _matmul_last(f_self, emb.g_theta)
-    k_self = _matmul_last(f_self, emb.g_phi)
+    q, k_self = _embed(f_self, emb)
+    logit_self = (q * k_self).sum(axis=-1) / scale
+    del k_self  # only the self logit reads it
     keys = edge_pad(_matmul_last(F, emb.g_phi))
-    dots = np.empty(taps.weights.shape)
+    logit_grad = np.empty((2,) + taps.index.shape)
     w_nb = np.empty(taps.index.shape)
     w_self = np.empty((s, h, w))
-    for band in _row_bands(h, w):
+    # a band's scratch here (fractions, corner products, one corner's key
+    # read) is about twice a step's per tap, so the affinity walks bands of
+    # half as many taps; freeing twice a step band's scratch on every call
+    # lets malloc return it to the system and fault it in again next call
+    for band in _row_bands(h, w, 2 * n):
         part = taps.rows(band)
-        part.place(*positions(band))
+        frac = part.place(*positions(band))
+        dots = np.empty(part.weights.shape)
         for c in range(4):
-            np.einsum("...nd,...d->...n", part.corner(keys, c), q[:, band], out=dots[c][:, band])
-        logit_nb = part.lerp(dots[:, :, band]) / scale
-        logit_self = (q[:, band] * k_self[:, band]).sum(axis=-1) / scale
+            np.einsum("...nd,...d->...n", part.corner(keys, c), q[:, band], out=dots[c])
+        position_gradient(dots, frac, out=logit_grad[:, :, band])
+        logit_nb = part.lerp(dots) / scale
         # the initial value lets a per-pixel call pass an empty neighbour list
-        top = np.maximum(logit_nb.max(axis=-1, initial=-np.inf), logit_self)
+        top = np.maximum(logit_nb.max(axis=-1, initial=-np.inf), logit_self[:, band])
         e_nb = np.exp(logit_nb - top[..., np.newaxis])
-        e_self = np.exp(logit_self - top)
+        e_self = np.exp(logit_self[:, band] - top)
         z = e_nb.sum(axis=-1) + e_self
         np.divide(e_nb, z[..., np.newaxis], out=w_nb[:, band])
         np.divide(e_self, z, out=w_self[:, band])
     return AffinityState(
-        scale=scale, taps=taps, dots=dots, q=q, k_self=k_self,
-        w_nb=w_nb, w_self=w_self, F=f_self, stack=F, emb=emb,
+        scale=scale, taps=taps, logit_grad=logit_grad, w_nb=w_nb, w_self=w_self,
+        F=f_self, stack=F, emb=emb, positions=positions,
     )
 
 
@@ -475,7 +515,7 @@ def dspn_step_forward(h_arr: np.ndarray, aff: AffinityState):
     out = np.empty_like(h_arr)
     h_nb = np.empty(aff.w_nb.shape)
     padded = edge_pad(h_arr)
-    for band in _row_bands(*h_arr.shape[1:]):
+    for band in _row_bands(*h_arr.shape[1:], aff.w_nb.shape[3]):
         nb = aff.taps.rows(band).sample(padded, out=h_nb[:, band])
         here = h_arr[:, band]
         np.einsum("shwn,shwn->shw", aff.w_nb[:, band], nb - here[..., np.newaxis], out=out[:, band])
@@ -498,6 +538,7 @@ def refine_forward_batched(
         stepped, rec = dspn_step_forward(current, aff)
         if keep_records:
             records.append(rec)
+        del rec  # else a dropped record outlives the next step's allocation
         current = (1.0 - replace_factor) * stepped + replace_factor * ds
     return RefineState(
         affinity=aff, steps=records, replace_factor=replace_factor, out=current, iters=iters

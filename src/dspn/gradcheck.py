@@ -26,7 +26,7 @@ from .deformable import (
     refine_forward_batched,
 )
 from .errors import Diverged, DspnError, InvalidConfig, InvalidState, NonFiniteLoss
-from .grid import Grid
+from .grid import Grid, fractions, position_gradient
 from .metrics import LossWeights, valid_gt
 
 REL_ERR_FLOOR = 1e-8
@@ -112,15 +112,18 @@ def dspn_backward(grad_out, state: RefineState, detach_weights: bool = False) ->
     dpos_y = np.zeros_like(aff.w_nb)
     one_minus_sum = 1.0 - aff.w_nb.sum(axis=3)
     # the four corners as indices into the unpadded stack, shared by every
-    # gather and scatter below
+    # gather and scatter below, and the taps' fractions and complements,
+    # re-derived from the sampling positions, shared by every position
+    # gradient
     index = aff.taps.corner_index()
+    frac = fractions(*aff.positions(slice(None)))
 
     for rec in reversed(state.steps):
         g = g * (1.0 - state.replace_factor)
         if not detach_weights:
             dw_nb += g[..., np.newaxis] * (rec.h_nb - rec.h_in[..., np.newaxis])
         gw = g[..., np.newaxis] * aff.w_nb
-        ddx, ddy = aff.taps.position_gradient(np.take(rec.h_in, index))
+        ddx, ddy = position_gradient(np.take(rec.h_in, index), frac)
         dpos_x += gw * ddx
         dpos_y += gw * ddy
         g = aff.taps.scatter(gw, index) + g * one_minus_sum
@@ -128,15 +131,16 @@ def dspn_backward(grad_out, state: RefineState, detach_weights: bool = False) ->
     d_theta = np.zeros_like(aff.emb.g_theta)
     d_phi = np.zeros_like(aff.emb.g_phi)
     if not detach_weights and state.steps:
-        d_e = aff.q.shape[-1]
+        q, k_self = aff.embeddings()
+        d_e = q.shape[-1]
         d_f = aff.F.shape[-1]
         # softmax over n+1 entries; the self weight has no direct upstream
         t = (aff.w_nb * dw_nb).sum(axis=3)
         dlogit_nb = aff.w_nb * (dw_nb - t[..., np.newaxis]) / aff.scale
         dlogit_self = -aff.w_self * t / aff.scale
         # a neighbour logit is the bilinear blend of its corner products
-        # q . K[corner], so its position gradient is a scalar read of them
-        ddx, ddy = aff.taps.position_gradient(aff.dots)
+        # q . K[corner]; the forward pass kept their position gradient
+        ddx, ddy = aff.logit_grad
         dpos_x += dlogit_nb * ddx
         dpos_y += dlogit_nb * ddy
         # h = sum over taps and corners of dlogit * weight * F[corner], the
@@ -146,12 +150,11 @@ def dspn_backward(grad_out, state: RefineState, detach_weights: bool = False) ->
         for idx, w in zip(index, aff.taps.weights):
             h += np.einsum("...n,...nf->...f", dlogit_nb * w, np.take(stack, idx, axis=0))
         h = h.reshape(-1, d_f)
-        q = aff.q.reshape(-1, d_e)
         f_self = aff.F.reshape(-1, d_f)
-        dq = h @ aff.emb.g_phi.T + (dlogit_self[..., np.newaxis] * aff.k_self).reshape(-1, d_e)
-        dk_self = (dlogit_self[..., np.newaxis] * aff.q).reshape(-1, d_e)
+        dq = h @ aff.emb.g_phi.T + (dlogit_self[..., np.newaxis] * k_self).reshape(-1, d_e)
+        dk_self = (dlogit_self[..., np.newaxis] * q).reshape(-1, d_e)
         d_theta = dq.T @ f_self
-        d_phi = q.T @ h + dk_self.T @ f_self
+        d_phi = q.reshape(-1, d_e).T @ h + dk_self.T @ f_self
 
     d_offsets = np.stack([dpos_x, dpos_y], axis=-1)
     if squeeze:

@@ -118,6 +118,51 @@ def edge_pad(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_positions(px, py) -> None:
+    """Raise InvalidPosition unless every sampling position is finite: the
+    one check behind the per-position reads (``bilinear_sample`` and the
+    per-pixel affinity)."""
+    bad = ~(np.isfinite(px) & np.isfinite(py))
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise InvalidPosition(f"non-finite position ({np.ravel(px)[i]}, {np.ravel(py)[i]})")
+
+
+def _fractions(px, py, x0, y0):
+    fx = px - x0
+    fy = py - y0
+    return fx, fy, 1.0 - fx, 1.0 - fy
+
+
+def fractions(px, py):
+    """``(fx, fy, 1 - fx, 1 - fy)`` of sampling positions: the fractional
+    parts of the unclamped positions and their complements, which make up
+    the bilinear weights and position gradients. Exactly what
+    :meth:`Taps.place` forms, so a caller that keeps the positions need not
+    keep the fractions."""
+    return _fractions(px, py, np.floor(px), np.floor(py))
+
+
+def position_gradient(corners, frac, out: np.ndarray | None = None) -> np.ndarray:
+    """d(lerp)/d(position), stacked as (d/dx, d/dy) along a leading axis of
+    2, from four scalar corner reads and their taps' :func:`fractions`.
+
+    Exact wherever the fractional parts are strictly inside (0, 1); at
+    lattice points floor() puts the position at fx=0 of the right cell, so
+    the result is the right-sided derivative. Fully clamped reads have both
+    corners equal and the derivative correctly vanishes.
+    """
+    v00, v10, v01, v11 = corners
+    fx, fy, gx, gy = frac
+    if out is None:
+        out = np.empty((2,) + np.shape(v00))
+    ddx = np.multiply(gy, v10 - v00, out=out[0])
+    ddx += fy * (v11 - v01)
+    ddy = np.multiply(gx, v01 - v00, out=out[1])
+    ddy += fx * (v11 - v10)
+    return out
+
+
 class Taps:
     """Bilinear taps over a stack of ``(S, h, w)`` grids: the one primitive
     behind every sampled read.
@@ -128,26 +173,25 @@ class Taps:
     at row ``clip(floor(y), -1, h-1) + 1`` and column
     ``clip(floor(x), -1, w-1) + 1`` of the padded stack. The four corners
     then sit at ``index + (0, 1, w+2, w+3)``, in corner order 00, 10, 01, 11,
-    and the padding makes each one the border-clamped read. ``fx`` and
-    ``fy`` are the fractional parts of the unclamped position: a position
-    fully outside the grid degrades to a constant border read with zero
-    spatial derivative. Corner naming is ``(x, y)``: corner 10 is one column
-    right of corner 00.
+    and the padding makes each one the border-clamped read. The weights come
+    from the fractional parts of the unclamped position (:func:`fractions`):
+    a position fully outside the grid degrades to a constant border read
+    with zero spatial derivative. Corner naming is ``(x, y)``: corner 10 is
+    one column right of corner 00.
 
     The four bilinear ``weights``, stacked along a leading axis of length 4,
     are built once here, so a propagation step that reads through the same
-    taps many times only gathers and blends.
+    taps many times only gathers and blends. The fractions themselves are
+    not kept: :meth:`place` hands them back for the caller's own use.
     """
 
-    __slots__ = ("stack_shape", "index", "fx", "fy", "weights")
+    __slots__ = ("stack_shape", "index", "weights")
 
     def __init__(self, shape, width: int, height: int):
         """Unfilled taps for positions of shape (S, ...) over an
         (S, height, width) stack; see :meth:`place`."""
         self.stack_shape = (shape[0], height, width)
         self.index = np.empty(shape, dtype=np.int64)
-        self.fx = np.empty(shape)
-        self.fy = np.empty(shape)
         self.weights = np.empty((4,) + tuple(shape))
 
     @classmethod
@@ -158,14 +202,14 @@ class Taps:
         taps.place(px, py)
         return taps
 
-    def place(self, px: np.ndarray, py: np.ndarray) -> None:
+    def place(self, px: np.ndarray, py: np.ndarray):
         """Fill these taps in place for positions shaped like them; a
-        :meth:`rows` view fills one band."""
+        :meth:`rows` view fills one band. Returns the positions'
+        :func:`fractions`."""
         s, height, width = self.stack_shape
         x0 = np.floor(px)
         y0 = np.floor(py)
-        np.subtract(px, x0, out=self.fx)
-        np.subtract(py, y0, out=self.fy)
+        frac = fx, fy, gx, gy = _fractions(px, py, x0, y0)
         # clip before the int cast so huge floats cannot overflow int64
         col = np.clip(x0, -1, width - 1, out=x0).astype(np.int64)
         row = np.clip(y0, -1, height - 1, out=y0).astype(np.int64)
@@ -174,12 +218,11 @@ class Taps:
         np.multiply(row, width + 2, out=self.index)
         self.index += col
         self.index += origin.reshape((s,) + (1,) * (px.ndim - 1))
-        gx = 1.0 - self.fx
-        gy = 1.0 - self.fy
         np.multiply(gx, gy, out=self.weights[0])
-        np.multiply(self.fx, gy, out=self.weights[1])
-        np.multiply(gx, self.fy, out=self.weights[2])
-        np.multiply(self.fx, self.fy, out=self.weights[3])
+        np.multiply(fx, gy, out=self.weights[1])
+        np.multiply(gx, fy, out=self.weights[2])
+        np.multiply(fx, fy, out=self.weights[3])
+        return frac
 
     def rows(self, band: slice) -> "Taps":
         """The taps of rows ``band`` of (S, h, w, ...) positions, as views.
@@ -190,8 +233,6 @@ class Taps:
         part = object.__new__(Taps)
         part.stack_shape = self.stack_shape
         part.index = self.index[:, band]
-        part.fx = self.fx[:, band]
-        part.fy = self.fy[:, band]
         part.weights = self.weights[:, :, band]
         return part
 
@@ -239,21 +280,6 @@ class Taps:
         np.maximum(out, corners.min(axis=0), out=out)
         return np.minimum(out, corners.max(axis=0), out=out)
 
-    def position_gradient(self, corners):
-        """d(lerp)/d(position) as (d/dx, d/dy), from four scalar corner reads.
-
-        Exact wherever the fractional parts are strictly inside (0, 1); at
-        lattice points floor() puts the position at fx=0 of the right cell,
-        so the result is the right-sided derivative. Fully clamped reads have
-        both corners equal and the derivative correctly vanishes.
-        """
-        v00, v10, v01, v11 = corners
-        ddx = (1.0 - self.fy) * (v10 - v00)
-        ddx += self.fy * (v11 - v01)
-        ddy = (1.0 - self.fx) * (v01 - v00)
-        ddy += self.fx * (v11 - v10)
-        return ddx, ddy
-
     def scatter(self, grad: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Adjoint of :meth:`lerp`: accumulate per-tap gradients into the
         unpadded (S, h, w) stack through the taps' :meth:`corner_index`."""
@@ -270,8 +296,7 @@ def bilinear_sample(g: Grid, p, c: int = 0) -> float:
     positions read the nearest edge pixel. The result always lies within
     [min, max] of the four contributing values.
     """
-    px, py = float(p[0]), float(p[1])
-    if not (np.isfinite(px) and np.isfinite(py)):
-        raise InvalidPosition(f"non-finite position ({px}, {py})")
-    taps = Taps.at(np.array([px]), np.array([py]), g.width, g.height)
+    px, py = np.array([float(p[0])]), np.array([float(p[1])])
+    check_positions(px, py)
+    taps = Taps.at(px, py, g.width, g.height)
     return float(taps.sample(edge_pad(g.channel(c)[np.newaxis]))[0])

@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import typing
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dspn import Grid, cli, read_grd, read_pgm16, write_grd, write_pgm16
+from dspn import Grid, cli, deformable, read_grd, read_pgm16, write_grd, write_pgm16
 from dspn.cli import (
     DEFAULT_ABLATE_ROWS,
     MAX_STATE_BYTES,
@@ -29,6 +30,7 @@ from dspn.cli import (
 from dspn.deformable import EmbeddingParams, affinity_forward_batched
 from dspn.errors import DspnError, InvalidConfig
 from dspn.gradcheck import toy_fit
+from dspn.grid import Taps
 
 
 def _refuse_scenes(cfg):
@@ -249,21 +251,72 @@ class TestCompleteContract:
         assert check_state_size(height, width, k, "dspn") <= MAX_STATE_BYTES
         assert check_state_size(height, width, k, "cspn") <= MAX_STATE_BYTES
 
+    @staticmethod
+    def _state_arrays(aff):
+        """Every array a real affinity state reaches through its fields and
+        its taps, by dotted name."""
+        found = {}
+
+        def walk(prefix, value):
+            if isinstance(value, np.ndarray):
+                found[prefix] = value
+            elif isinstance(value, (tuple, list)):
+                for i, item in enumerate(value):
+                    walk(f"{prefix}[{i}]", item)
+            elif isinstance(value, Taps):
+                for name in Taps.__slots__:
+                    walk(f"{prefix}.{name}", getattr(value, name))
+
+        for name, value in vars(aff).items():
+            walk(name, value)
+        return found
+
     @pytest.mark.parametrize("k", [3, 5])
     def test_state_estimate_matches_the_affinity_state(self, k):
-        # the per-tap fields of a real 64x64 affinity state come to exactly
-        # the bytes per tap the cap charges
+        # the per-tap arrays of a real 64x64 affinity state come to exactly
+        # the bytes per tap the cap charges; the only other arrays are the
+        # caller's features and the per-pixel self weight, so re-adding a
+        # per-tap or per-pixel field fails here
         rng = np.random.default_rng(k)
         n = k * k - 1
+        feats = rng.uniform(0.0, 1.0, (1, 64, 64, 6))
         emb = EmbeddingParams(rng.normal(0.0, 0.4, (4, 6)), rng.normal(0.0, 0.4, (4, 6)))
-        aff = affinity_forward_batched(
-            rng.uniform(0.0, 1.0, (1, 64, 64, 6)), rng.normal(0.0, 1.0, (1, 64, 64, n, 2)), emb, k
-        )
-        fields = [aff.taps.index, aff.taps.weights, aff.taps.fx, aff.taps.fy, aff.dots, aff.w_nb]
+        aff = affinity_forward_batched(feats, rng.normal(0.0, 1.0, (1, 64, 64, n, 2)), emb, k)
+        arrays = self._state_arrays(aff)
+        per_tap = {name: arr for name, arr in arrays.items() if arr.shape[-4:] == (1, 64, 64, n)}
         taps = 64 * 64 * n
-        assert all(arr.size % taps == 0 for arr in fields)
-        assert sum(arr.nbytes for arr in fields) == taps * cli.STATE_BYTES_PER_TAP["dspn"]
+        assert sum(arr.nbytes for arr in per_tap.values()) == taps * cli.STATE_BYTES_PER_TAP["dspn"]
         assert check_state_size(64, 64, k, "dspn") == taps * cli.STATE_BYTES_PER_TAP["dspn"]
+        rest = {name: arr for name, arr in arrays.items() if name not in per_tap}
+        assert set(rest) == {"F", "stack", "w_self"}
+        assert rest["F"] is feats and rest["stack"] is feats
+        assert rest["w_self"].shape == (1, 64, 64)
+
+    def test_affinity_peak_is_its_state_plus_one_band(self):
+        # 176x608 at k=3, traced: the state, the three per-pixel embedding
+        # maps the affinity forms (q, k_self and the padded keys) and one
+        # band's scratch, budgeted at 256 B per tap of a step band (the
+        # affinity's band has half the taps, and its positions, fractions,
+        # corner products, one corner's key read and softmax temporaries
+        # come to about 170 B per tap); any whole-map per-tap temporary or
+        # field would overshoot
+        h, w, k, d = 176, 608, 3, 6
+        n = k * k - 1
+        rng = np.random.default_rng(5)
+        feats = rng.uniform(0.0, 1.0, (1, h, w, d))
+        delta = rng.normal(0.0, 1.0, (1, h, w, n, 2))
+        emb = EmbeddingParams(rng.normal(0.0, 0.4, (d, d)), rng.normal(0.0, 0.4, (d, d)))
+        band_taps = len(range(*next(deformable._row_bands(h, w, n)).indices(h))) * w * n
+        state = h * w * n * cli.STATE_BYTES_PER_TAP["dspn"] + h * w * 8
+        embeddings = (2 * h * w + (h + 2) * (w + 2)) * d * 8
+        tracemalloc.start()
+        try:
+            aff = affinity_forward_batched(feats, delta, emb, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert aff.w_nb.shape == (1, h, w, n)
+        assert peak <= state + embeddings + 256 * band_taps
 
     @pytest.mark.parametrize("where", ["sparse", "gt"])
     def test_negative_depth_exits_2_naming_the_map(self, where, tmp_path, capsys):

@@ -137,6 +137,17 @@ class TestAffinity:
         with pytest.raises(InvalidPosition):
             compute_affinity(features, emb, pixel, nbrs)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_neighbour_rejected(self, bad, axis):
+        # a non-finite position is an invalid input (a DspnError, exit 2),
+        # never a NaN weight; bilinear_sample runs the same check
+        _, features, offsets, emb, _ = rand_setup(0, h=4, w=4)
+        nbrs = [tuple(p) for p in deformed_neighborhood((1, 1), 3, offsets)]
+        nbrs[5] = (bad, 1.0) if axis == 0 else (1.0, bad)
+        with pytest.raises(InvalidPosition):
+            compute_affinity(features, emb, (1, 1), nbrs)
+
 
 class TestStep:
     def test_constant_map_preserved_exactly(self):
@@ -240,13 +251,15 @@ class TestBands:
     """Row bands change no pixel's arithmetic: one band, one-row bands and a
     ragged last band give bit-identical results."""
 
-    # 7 rows of 5 pixels: BAND_PX 15 gives bands of 3, 3 and 1 rows
-    BAND_PX = {"one band": 10**6, "one-row bands": 1, "ragged": 15}
+    # 7 rows of 5 pixels, in step bands of the given height; the affinity's
+    # bands hold half as many taps: one band each, one-row bands, and step
+    # bands of 6 and 1 rows with affinity bands of 3, 3 and 1
+    BAND_ROWS = {"one band": 14, "one-row bands": 1, "ragged": 6}
 
-    def _run(self, monkeypatch, band_px, k):
-        monkeypatch.setattr(deformable, "BAND_PX", band_px)
-        rng = np.random.default_rng(40 + k)
+    def _run(self, monkeypatch, band_rows, k):
         s, h, w, n = 2, 7, 5, k * k - 1
+        monkeypatch.setattr(deformable, "BAND_TAPS", band_rows * w * n)
+        rng = np.random.default_rng(40 + k)
         feats = rng.uniform(0.0, 1.0, (s, h, w, 4))
         delta = rng.uniform(-1.5, 1.5, (s, h, w, n, 2))
         emb = EmbeddingParams(rng.normal(0.0, 0.4, (4, 4)), rng.normal(0.0, 0.4, (4, 4)))
@@ -255,8 +268,8 @@ class TestBands:
             rng.uniform(0.0, 10.0, (s, h, w)), rng.uniform(0.0, 10.0, (s, h, w)),
             rng.uniform(0.0, 1.0, (s, h, w)) * (rng.random((s, h, w)) < 0.3), aff, 3,
         )
-        arrays = {"w_nb": aff.w_nb, "w_self": aff.w_self, "dots": aff.dots, "out": state.out}
-        for name in ("index", "weights", "fx", "fy"):
+        arrays = {"w_nb": aff.w_nb, "w_self": aff.w_self, "logit_grad": aff.logit_grad, "out": state.out}
+        for name in ("index", "weights"):
             arrays["taps." + name] = getattr(aff.taps, name)
         for i, rec in enumerate(state.steps):
             arrays[f"h_in{i}"], arrays[f"h_nb{i}"] = rec.h_in, rec.h_nb
@@ -266,19 +279,26 @@ class TestBands:
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_band_height_changes_nothing(self, monkeypatch, k):
-        runs = {label: self._run(monkeypatch, px, k) for label, px in self.BAND_PX.items()}
+        runs = {label: self._run(monkeypatch, rows, k) for label, rows in self.BAND_ROWS.items()}
         base = runs.pop("one band")
         for label, arrays in runs.items():
             for name, arr in base.items():
                 assert np.array_equal(arrays[name], arr), (label, name)
 
     def test_multi_band_step_matches_scalar_oracle(self, monkeypatch):
-        # 6x6 with BAND_PX 12: three bands of two rows
-        monkeypatch.setattr(deformable, "BAND_PX", 12)
+        # 6x6 at k=3 with 96 taps per band: three bands of two rows
+        monkeypatch.setattr(deformable, "BAND_TAPS", 2 * 6 * 8)
         values, features, offsets, emb, _ = rand_setup(50, offset_mag=1.5)
         out = dspn_step(Grid(values), features, offsets, emb).channel(0)
         ref = dspn_step_ref(values, features.data, offsets.delta, emb.g_theta, emb.g_phi, 3)
         assert np.abs(out - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("k,bands", [(3, 1), (5, 4)])
+    def test_bands_are_sized_in_taps(self, k, bands):
+        # a 64x64 training scene is one band at k=3; at k=5 it has three
+        # times the taps per row, so it splits
+        assert len(list(deformable._row_bands(64, 64, k * k - 1))) == bands
+        assert len(list(deformable._row_bands(176, 608, 8))) == 30  # 6 rows each
 
 
 class TestEstimator:

@@ -26,7 +26,7 @@ from dspn.gradcheck import (
     relative_errors,
     toy_fit,
 )
-from dspn.grid import Taps, edge_pad
+from dspn.grid import Taps, edge_pad, fractions, position_gradient
 from dspn.synth import SceneSpec, SparseSpec, prepare_scene
 
 
@@ -199,8 +199,9 @@ class TestEstimatorGradients:
 
 def test_lattice_position_gradient_is_right_sided():
     values = np.array([[0.0, 1.0, 3.0], [0.0, 1.0, 3.0]])
-    taps = Taps.at(np.array([1.0]), np.array([0.0]), 3, 2)
-    ddx, ddy = taps.position_gradient(taps.corners(edge_pad(values[np.newaxis])))
+    px, py = np.array([1.0]), np.array([0.0])
+    taps = Taps.at(px, py, 3, 2)
+    ddx, ddy = position_gradient(taps.corners(edge_pad(values[np.newaxis])), fractions(px, py))
     assert ddx[0] == 2.0  # slope of the right cell, not the centred 1.5
     assert ddy[0] == 0.0
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dspn import Grid, bilinear_sample
 from dspn.errors import InvalidGrid, InvalidPosition, ShapeMismatch
-from dspn.grid import Taps, edge_pad
+from dspn.grid import Taps, edge_pad, fractions, position_gradient
 
 from oracles import bilinear_ref
 
@@ -77,10 +77,11 @@ def test_linearity_in_grid_values():
 
 
 def test_non_finite_position_rejected(quad):
-    with pytest.raises(InvalidPosition):
-        bilinear_sample(quad, (np.nan, 0.0))
-    with pytest.raises(InvalidPosition):
-        bilinear_sample(quad, (0.0, np.inf))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidPosition):
+            bilinear_sample(quad, (bad, 0.0))
+        with pytest.raises(InvalidPosition):
+            bilinear_sample(quad, (0.0, bad))
 
 
 def test_grid_validation():
@@ -171,7 +172,7 @@ def test_taps_position_gradient_matches_central_difference(case):
         return probe.lerp(probe.corners(edge_pad(v)))
 
     taps = Taps.at(px, py, w, h)
-    ddx, ddy = taps.position_gradient(taps.corners(edge_pad(v)))
+    ddx, ddy = position_gradient(taps.corners(edge_pad(v)), fractions(px, py))
     eps = 1e-6
     fd_x = (read(px + eps, py) - read(px - eps, py)) / (2.0 * eps)
     fd_y = (read(px, py + eps) - read(px, py - eps)) / (2.0 * eps)
@@ -192,12 +193,27 @@ def test_taps_rows_are_views_equal_to_taps_of_those_rows(case, top, rows):
     full = Taps.at(px, py, w, h)
     part = full.rows(band)
     whole = Taps.at(px[:, band], py[:, band], w, h)
-    for name in ("index", "weights", "fx", "fy"):
+    for name in ("index", "weights"):
         view = getattr(part, name)
         assert np.array_equal(view, getattr(whole, name)), name
         assert view.size == 0 or np.shares_memory(view, getattr(full, name)), name
     v = edge_pad(rng.uniform(-5.0, 5.0, (s, h, w)))
     assert np.array_equal(part.sample(v), whole.sample(v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks)
+def test_place_returns_the_fractions_of_its_positions(case):
+    # the backward pass re-derives the fractions from the positions, so
+    # they must match what place built the weights from bit for bit
+    seed, s, h, w, k = case
+    _, px, py, _ = _random_taps(seed, s, h, w, k, margin=50.0)
+    taps = Taps(px.shape, w, h)
+    placed = taps.place(px, py)
+    fx, fy, gx, gy = fractions(px, py)
+    for got, want in zip(placed, (fx, fy, gx, gy)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(taps.weights, np.stack([gx * gy, fx * gy, gx * fy, fx * fy]))
 
 
 far = st.one_of(
