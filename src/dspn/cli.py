@@ -102,6 +102,8 @@ class RunConfig:
                 raise InvalidConfig(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not (np.isfinite(self.gradcheck_tol) and self.gradcheck_tol >= 0.0):
             raise InvalidConfig(f"gradcheck_tol must be finite and >= 0, got {self.gradcheck_tol}")
+        if not self.gradcheck_eps > 0.0:
+            raise InvalidConfig(f"gradcheck_eps must be > 0, got {self.gradcheck_eps}")
         if (self.mode == "complete" and self.inputs.sparse and not self.inputs.gt
                 and self.refine == "dspn" and self.train.steps > 0):
             # without ground truth the fit would target the coarse map

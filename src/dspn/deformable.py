@@ -49,6 +49,7 @@ from .grid import (
     Taps,
     binary_mask,
     check_positions,
+    edge_fold,
     edge_pad,
     pixel_index,
     position_gradient,
@@ -219,58 +220,51 @@ class OffsetEstimatorParams:
 # ---------------------------------------------------------------------------
 
 
+def _edge_rows(x: np.ndarray):
+    """(..., h, w, c) values edge-padded as one (S, h+2, w+2, c) stack, its
+    pixels as flat rows, and the nine 3x3 taps' slices of those rows in raster
+    order: each tap is one contiguous shift. Outputs on the pad columns (or a
+    scene's pad rows) read across its edge; they are computed and dropped."""
+    padded = edge_pad(x.reshape((-1,) + x.shape[-3:]))
+    rows = padded.reshape(-1, x.shape[-1])
+    row = x.shape[-2] + 2
+    span = len(rows) - 2 * row - 2
+    return padded, rows, [slice(ty * row + tx, ty * row + tx + span) for ty in range(3) for tx in range(3)]
+
+
 def conv3x3_replicate(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Stride-1 3x3 convolution with border-replicated padding.
 
-    ``x`` is (..., h, w, c_in); any leading batch axes pass through. The
-    padded input is flattened to rows of pixels, where every tap is one
-    contiguous shift of the whole stack, so each tap is one GEMM. Outputs
-    that fall on the two pad columns of a row (or the pad rows of a scene)
-    read across its edge; they are computed and dropped.
+    ``x`` is (..., h, w, c_in); any leading batch axes pass through. Each
+    tap is one GEMM over its slice of the :func:`_edge_rows`.
     """
-    h, wd = x.shape[-3], x.shape[-2]
-    pad = [(0, 0)] * (x.ndim - 3) + [(1, 1), (1, 1), (0, 0)]
-    padded = np.pad(x, pad, mode="edge")
-    flat = padded.reshape(-1, x.shape[-1])
-    span = flat.shape[0] - 2 * (wd + 2) - 2
-    w_taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0))  # (3, 3, c_in, c_out)
-    acc = np.empty((flat.shape[0], w.shape[0]))
-    acc[:] = b
-    term = np.empty((span, w.shape[0]))
-    for ty in range(3):
-        for tx in range(3):
-            start = ty * (wd + 2) + tx
-            acc[:span] += np.matmul(flat[start : start + span], w_taps[ty, tx], out=term)
-    return acc.reshape(padded.shape[:-1] + (w.shape[0],))[..., :h, :wd, :]
+    padded, rows, taps = _edge_rows(x)
+    w_taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(9, w.shape[1], w.shape[0])
+    acc = np.full((len(rows), w.shape[0]), b)
+    term = np.empty((taps[0].stop, w.shape[0]))
+    for tap, w_tap in zip(taps, w_taps):
+        acc[taps[0]] += np.matmul(rows[tap], w_tap, out=term)
+    return acc.reshape(padded.shape[:-1] + (-1,))[:, :-2, :-2].reshape(x.shape[:-1] + (-1,))
 
 
 def conv3x3_replicate_backward(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
-    """Gradients of :func:`conv3x3_replicate` w.r.t. weights, bias, and input."""
-    h, wd = x.shape[-3], x.shape[-2]
-    pad = [(0, 0)] * (x.ndim - 3) + [(1, 1), (1, 1), (0, 0)]
-    padded = np.pad(x, pad, mode="edge")
-    lead = list(range(x.ndim - 1))  # batch + spatial axes
-    d_w = np.zeros_like(w)
-    d_pad = np.zeros_like(padded)
-    for ty in range(3):
-        for tx in range(3):
-            view = padded[..., ty : ty + h, tx : tx + wd, :]
-            d_w[:, :, ty, tx] = np.tensordot(d_out, view, axes=(lead, lead))
-            d_pad[..., ty : ty + h, tx : tx + wd, :] += np.tensordot(
-                d_out, w[:, :, ty, tx], axes=([d_out.ndim - 1], [0])
-            )
-    d_b = d_out.sum(axis=tuple(lead))
-    # fold the replicate-padding adjoint back onto the edges
-    d_x = d_pad[..., 1 : h + 1, 1 : wd + 1, :].copy()
-    d_x[..., 0, :, :] += d_pad[..., 0, 1 : wd + 1, :]
-    d_x[..., -1, :, :] += d_pad[..., h + 1, 1 : wd + 1, :]
-    d_x[..., :, 0, :] += d_pad[..., 1 : h + 1, 0, :]
-    d_x[..., :, -1, :] += d_pad[..., 1 : h + 1, wd + 1, :]
-    d_x[..., 0, 0, :] += d_pad[..., 0, 0, :]
-    d_x[..., 0, -1, :] += d_pad[..., 0, wd + 1, :]
-    d_x[..., -1, 0, :] += d_pad[..., h + 1, 0, :]
-    d_x[..., -1, -1, :] += d_pad[..., h + 1, wd + 1, :]
-    return d_w, d_b, d_x
+    """Gradients of :func:`conv3x3_replicate` w.r.t. weights, bias, and input:
+    its GEMMs transposed on the same rows, where the dropped outputs carry
+    zero gradient, and the input's folded by :func:`edge_fold`."""
+    c_out, c_in = w.shape[:2]
+    padded, rows, taps = _edge_rows(x)
+    d_acc = np.zeros((len(rows), c_out))
+    d_acc.reshape(padded.shape[:-1] + (-1,))[:, :-2, :-2] = d_out.reshape(padded.shape[:1] + d_out.shape[-3:])
+    d_acc = d_acc[taps[0]]
+    d_w = np.empty((9, c_out, c_in))
+    d_rows = np.zeros_like(rows)
+    term = np.empty((len(d_acc), c_in))
+    for tap, d_tap, w_tap in zip(taps, d_w, w.transpose(2, 3, 0, 1).reshape(9, c_out, c_in)):
+        np.matmul(d_acc.T, rows[tap], out=d_tap)
+        d_rows[tap] += np.matmul(d_acc, w_tap, out=term)
+    d_w = d_w.reshape(3, 3, c_out, c_in).transpose(2, 3, 0, 1).copy()
+    d_x = edge_fold(d_rows.reshape(padded.shape)).reshape(x.shape)
+    return d_w, d_out.reshape(-1, c_out).sum(axis=0), d_x
 
 
 @dataclass

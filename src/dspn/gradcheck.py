@@ -26,7 +26,7 @@ from .deformable import (
     refine_forward_batched,
 )
 from .errors import Diverged, DspnError, InvalidConfig, InvalidState, NonFiniteLoss
-from .grid import Grid, fractions, position_gradient
+from .grid import Grid, edge_pad, fractions, position_gradient
 from .metrics import LossWeights, valid_gt
 
 REL_ERR_FLOOR = 1e-8
@@ -111,11 +111,7 @@ def dspn_backward(grad_out, state: RefineState, detach_weights: bool = False) ->
     dpos_x = np.zeros_like(aff.w_nb)
     dpos_y = np.zeros_like(aff.w_nb)
     one_minus_sum = 1.0 - aff.w_nb.sum(axis=3)
-    # the four corners as indices into the unpadded stack, shared by every
-    # gather and scatter below, and the taps' fractions and complements,
-    # re-derived from the sampling positions, shared by every position
-    # gradient
-    index = aff.taps.corner_index()
+    # the taps' fractions, re-derived from the positions, serve every step
     frac = fractions(*aff.positions(slice(None)))
 
     for rec in reversed(state.steps):
@@ -123,10 +119,10 @@ def dspn_backward(grad_out, state: RefineState, detach_weights: bool = False) ->
         if not detach_weights:
             dw_nb += g[..., np.newaxis] * (rec.h_nb - rec.h_in[..., np.newaxis])
         gw = g[..., np.newaxis] * aff.w_nb
-        ddx, ddy = position_gradient(np.take(rec.h_in, index), frac)
+        ddx, ddy = position_gradient(aff.taps.corners(edge_pad(rec.h_in)), frac)
         dpos_x += gw * ddx
         dpos_y += gw * ddy
-        g = aff.taps.scatter(gw, index) + g * one_minus_sum
+        g = aff.taps.scatter(gw) + g * one_minus_sum
 
     d_theta = np.zeros_like(aff.emb.g_theta)
     d_phi = np.zeros_like(aff.emb.g_phi)
@@ -145,10 +141,10 @@ def dspn_backward(grad_out, state: RefineState, detach_weights: bool = False) ->
         dpos_y += dlogit_nb * ddy
         # h = sum over taps and corners of dlogit * weight * F[corner], the
         # per-pixel feature-space gradient of the neighbour logits
-        stack = aff.stack.reshape(-1, d_f)
+        stack = edge_pad(aff.stack)
         h = np.zeros(aff.F.shape)
-        for idx, w in zip(index, aff.taps.weights):
-            h += np.einsum("...n,...nf->...f", dlogit_nb * w, np.take(stack, idx, axis=0))
+        for c, w in enumerate(aff.taps.weights):
+            h += np.einsum("...n,...nf->...f", dlogit_nb * w, aff.taps.corner(stack, c))
         h = h.reshape(-1, d_f)
         f_self = aff.F.reshape(-1, d_f)
         dq = h @ aff.emb.g_phi.T + (dlogit_self[..., np.newaxis] * k_self).reshape(-1, d_e)

@@ -33,8 +33,8 @@ class Grid:
 
     __slots__ = ("data",)
 
-    def __init__(self, data, copy: bool = False):
-        arr = np.array(data, dtype=np.float64, copy=copy) if copy else np.asarray(data, dtype=np.float64)
+    def __init__(self, data):
+        arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 2:
             arr = arr[:, :, np.newaxis]
         if arr.ndim != 3 or arr.size == 0:
@@ -60,9 +60,6 @@ class Grid:
         if not 0 <= c < self.channels:
             raise InvalidGrid(f"channel {c} out of range for {self.channels}-channel grid")
         return self.data[:, :, c]
-
-    def copy(self) -> "Grid":
-        return Grid(self.data, copy=True)
 
     @classmethod
     def zeros(cls, width: int, height: int, channels: int = 1) -> "Grid":
@@ -116,6 +113,17 @@ def edge_pad(values: np.ndarray) -> np.ndarray:
     out[:, :, 0] = out[:, :, 1]
     out[:, :, -1] = out[:, :, -2]
     return out
+
+
+def edge_fold(padded: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`edge_pad`, in place on an (S, H + 2, W + 2, ...)
+    stack: pad rows add onto the edge rows, then pad columns onto the edge
+    columns, so the corners fold through both. Returns the interior view."""
+    padded[:, 1] += padded[:, 0]
+    padded[:, -2] += padded[:, -1]
+    padded[:, :, 1] += padded[:, :, 0]
+    padded[:, :, -2] += padded[:, :, -1]
+    return padded[:, 1:-1, 1:-1]
 
 
 def check_positions(px, py) -> None:
@@ -242,8 +250,7 @@ class Taps:
         s, height, width = self.stack_shape
         if padded.shape[:3] != (s, height + 2, width + 2):
             raise ShapeMismatch(f"taps read a padded {(s, height + 2, width + 2)} stack, got shape {padded.shape}")
-        row = width + 2
-        flat = padded.reshape((-1,) + padded.shape[3:])[(0, 1, row, row + 1)[c]:]
+        flat = padded.reshape((-1,) + padded.shape[3:])[self._offsets()[c]:]
         # every shifted index is in range; "clip" lets take write straight into out
         return np.take(flat, self.index, axis=0, out=out, mode="clip")
 
@@ -255,12 +262,9 @@ class Taps:
             self.corner(padded, c, out=out[c])
         return out
 
-    def corner_index(self) -> np.ndarray:
-        """The four corners' indices into the unpadded (S, h, w) stack
-        flattened, stacked like :meth:`corners`: for callers that gather or
-        scatter through the same taps many times."""
-        size = int(np.prod(self.stack_shape))
-        return self.corners(edge_pad(np.arange(size).reshape(self.stack_shape)))
+    def _offsets(self) -> tuple:
+        """The four corners' offsets from the base index, in corner order."""
+        return (0, 1, self.stack_shape[2] + 2, self.stack_shape[2] + 3)
 
     def lerp(self, corners, out: np.ndarray | None = None) -> np.ndarray:
         """Bilinear blend of four scalar corner reads (no clamping)."""
@@ -280,13 +284,15 @@ class Taps:
         np.maximum(out, corners.min(axis=0), out=out)
         return np.minimum(out, corners.max(axis=0), out=out)
 
-    def scatter(self, grad: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """Adjoint of :meth:`lerp`: accumulate per-tap gradients into the
-        unpadded (S, h, w) stack through the taps' :meth:`corner_index`."""
-        weights = self.weights * grad
-        return np.bincount(
-            index.ravel(), weights=weights.ravel(), minlength=int(np.prod(self.stack_shape))
-        ).reshape(self.stack_shape)
+    def scatter(self, grad: np.ndarray) -> np.ndarray:
+        """Adjoint of :meth:`lerp` through :meth:`corners`: accumulate
+        per-tap gradients into the edge-padded stack at the taps' own corner
+        indices and fold it onto the (S, h, w) stack (:func:`edge_fold`)."""
+        s, height, width = self.stack_shape
+        shape = (s, height + 2, width + 2)
+        index = np.add.outer(self._offsets(), self.index)
+        padded = np.bincount(index.ravel(), weights=(self.weights * grad).ravel(), minlength=int(np.prod(shape)))
+        return edge_fold(padded.reshape(shape))
 
 
 def bilinear_sample(g: Grid, p, c: int = 0) -> float:

@@ -127,6 +127,29 @@ def conv3x3_replicate_ref(x, w, b):
     return out
 
 
+def conv3x3_replicate_backward_ref(x, w, d_out):
+    """Gradients (d_w, d_b, d_x) of :func:`conv3x3_replicate_ref` given the
+    (h, w, c_out) gradient at its output: every tap's clamped read passes
+    its share back to the pixel it read."""
+    h, wd, c_in = x.shape
+    c_out = w.shape[0]
+    d_w = np.zeros_like(w)
+    d_b = np.zeros(c_out)
+    d_x = np.zeros_like(x)
+    for y in range(h):
+        for xx in range(wd):
+            for o in range(c_out):
+                g = d_out[y, xx, o]
+                d_b[o] += g
+                for ty in range(3):
+                    for tx in range(3):
+                        sy, sx = clamp(y + ty - 1, 0, h - 1), clamp(xx + tx - 1, 0, wd - 1)
+                        for c in range(c_in):
+                            d_w[o, c, ty, tx] += g * x[sy, sx, c]
+                            d_x[sy, sx, c] += g * w[o, c, ty, tx]
+    return d_w, d_b, d_x
+
+
 def dspn_step_ref(values, features, delta, g_theta, g_phi, k):
     h, w = values.shape
     offs = ring_offsets(k)

@@ -129,6 +129,15 @@ class TestConfig:
         assert main(["eval", "--set", override]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["gradcheck", "eval"])
+    @pytest.mark.parametrize("eps", ["0", "-1"])
+    def test_bad_gradcheck_eps_exits_2_with_empty_stdout(self, mode, eps, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_suite", _refuse_scenes)
+        assert main([mode, "--set", f"gradcheck_eps={eps}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "gradcheck_eps" in err
+
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
     def test_bad_dspn_threads_exits_2_before_any_work(self, value, monkeypatch, capsys, tmp_path):
         monkeypatch.setenv("DSPN_THREADS", value)

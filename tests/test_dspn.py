@@ -19,12 +19,20 @@ from dspn.deformable import (
     affinity_forward,
     affinity_forward_batched,
     conv3x3_replicate,
+    conv3x3_replicate_backward,
     refine_forward_batched,
 )
 from dspn.errors import InvalidPosition, ShapeMismatch
 from dspn.gradcheck import dspn_backward
 
-from oracles import affinity_ref, conv3x3_replicate_ref, dspn_refine_ref, dspn_step_ref, ring_offsets
+from oracles import (
+    affinity_ref,
+    conv3x3_replicate_backward_ref,
+    conv3x3_replicate_ref,
+    dspn_refine_ref,
+    dspn_step_ref,
+    ring_offsets,
+)
 
 
 def rand_setup(seed, h=6, w=6, d_f=4, d_e=4, k=3, offset_mag=0.45):
@@ -233,18 +241,40 @@ class TestStep:
 class TestConv:
     # the flat-shift form computes outputs on the pad columns and drops
     # them; 1-pixel-wide maps have nothing but edges
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (5, 7), (2, 5, 7)])
-    @pytest.mark.parametrize("c_in,c_out", [(1, 3), (6, 8), (8, 16)])
-    def test_matches_scalar_oracle(self, shape, c_in, c_out):
+    SHAPES = pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (5, 7), (2, 5, 7)])
+    CHANNELS = pytest.mark.parametrize("c_in,c_out", [(1, 3), (6, 8), (8, 16)])
+
+    @staticmethod
+    def _draw(shape, c_in, c_out):
         rng = np.random.default_rng(sum(shape) + c_in)
         x = rng.standard_normal(shape + (c_in,))
         w = rng.standard_normal((c_out, c_in, 3, 3))
         b = rng.standard_normal(c_out)
+        return rng, x, w, b
+
+    @SHAPES
+    @CHANNELS
+    def test_matches_scalar_oracle(self, shape, c_in, c_out):
+        _, x, w, b = self._draw(shape, c_in, c_out)
         out = conv3x3_replicate(x, w, b)
         assert out.shape == shape + (c_out,)
         scenes = x.reshape((-1,) + x.shape[-3:])
         ref = np.stack([conv3x3_replicate_ref(s, w, b) for s in scenes]).reshape(out.shape)
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+
+    @SHAPES
+    @CHANNELS
+    def test_backward_matches_scalar_oracle(self, shape, c_in, c_out):
+        rng, x, w, _ = self._draw(shape, c_in, c_out)
+        d_out = rng.standard_normal(shape + (c_out,))
+        d_w, d_b, d_x = conv3x3_replicate_backward(x, w, d_out)
+        assert (d_w.shape, d_b.shape, d_x.shape) == (w.shape, (c_out,), x.shape)
+        scenes = zip(x.reshape((-1,) + x.shape[-3:]), d_out.reshape((-1,) + d_out.shape[-3:]))
+        refs = [conv3x3_replicate_backward_ref(s, w, g) for s, g in scenes]
+        np.testing.assert_allclose(d_w, sum(r[0] for r in refs), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(d_b, sum(r[1] for r in refs), rtol=1e-12, atol=1e-12)
+        ref_x = np.stack([r[2] for r in refs]).reshape(x.shape)
+        np.testing.assert_allclose(d_x, ref_x, rtol=1e-12, atol=1e-12)
 
 
 class TestBands:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dspn import Grid, bilinear_sample
 from dspn.errors import InvalidGrid, InvalidPosition, ShapeMismatch
-from dspn.grid import Taps, edge_pad, fractions, position_gradient
+from dspn.grid import Taps, edge_fold, edge_pad, fractions, position_gradient
 
 from oracles import bilinear_ref
 
@@ -134,9 +134,22 @@ def test_taps_scatter_is_adjoint_of_lerp(case):
     v = rng.uniform(-5.0, 5.0, (s, h, w))
     g = rng.uniform(-5.0, 5.0, (s, k))
     lhs = float((taps.lerp(taps.corners(edge_pad(v))) * g).sum())
-    rhs = float((v * taps.scatter(g, taps.corner_index())).sum())
+    rhs = float((v * taps.scatter(g)).sum())
     scale = float((np.abs(v).max() * np.abs(g).sum()))
     assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+# H = 1 or W = 1 folds both pad rows (or columns) onto one edge row (column)
+@settings(max_examples=80, deadline=None)
+@given(stacks, st.sampled_from([(), (3,)]))
+def test_edge_fold_is_adjoint_of_edge_pad(case, values):
+    seed, s, h, w, _ = case
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(-5.0, 5.0, (s, h, w) + values)
+    u = rng.uniform(-5.0, 5.0, (s, h + 2, w + 2) + values)
+    lhs = float((edge_pad(v) * u).sum())
+    rhs = float((v * edge_fold(u.copy())).sum())
+    assert abs(lhs - rhs) <= 1e-12 * float(np.abs(edge_pad(v) * u).sum())
 
 
 @settings(max_examples=60, deadline=None)
