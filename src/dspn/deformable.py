@@ -26,11 +26,12 @@ fixed during refinement, so refine computes it once and reuses it every
 iteration.
 
 On large maps the per-tap reads are bound by memory bandwidth, so the
-affinity (positions, taps, corner products and softmax) and each
-propagation step walk the map in row bands of about BAND_TAPS taps (half
-that for the affinity, whose scratch per tap is twice a step's), whose
-temporaries stay in cache. Banding changes no pixel's arithmetic, so the
-outputs are the same for any band height; a 64x64 training scene is one
+affinity (positions, taps, embeddings, corner products and softmax) and
+each propagation step walk the map in row bands of about BAND_TAPS taps
+(half that for the affinity, whose scratch per tap is twice a step's),
+whose temporaries stay in cache; the estimator's conv forward walks bands
+of about BAND_TAPS input values. Banding changes no pixel's arithmetic, so
+the outputs are the same for any band height; a 64x64 training scene is one
 step band at k=3 and four at k=5.
 """
 
@@ -236,15 +237,42 @@ def conv3x3_replicate(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray
     """Stride-1 3x3 convolution with border-replicated padding.
 
     ``x`` is (..., h, w, c_in); any leading batch axes pass through. Each
-    tap is one GEMM over its slice of the :func:`_edge_rows`.
+    tap is one GEMM over its slice of the :func:`_edge_rows`. The GEMMs walk
+    each scene in row bands whose pixels hold about BAND_TAPS input values
+    (see :func:`_row_bands`) and accumulate into the output, so a band's
+    input rows, outputs and GEMM term stay in cache; a 64x64 layer of up to
+    8 input channels is one band. The outputs on the pad columns, which read
+    across the edge, are computed into the output array too, and the
+    returned view drops them.
     """
     padded, rows, taps = _edge_rows(x)
-    w_taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(9, w.shape[1], w.shape[0])
-    acc = np.full((len(rows), w.shape[0]), b)
-    term = np.empty((taps[0].stop, w.shape[0]))
-    for tap, w_tap in zip(taps, w_taps):
-        acc[taps[0]] += np.matmul(rows[tap], w_tap, out=term)
-    return acc.reshape(padded.shape[:-1] + (-1,))[:, :-2, :-2].reshape(x.shape[:-1] + (-1,))
+    s, height, row = padded.shape[:3]
+    c_in, c_out = w.shape[1], w.shape[0]
+    w_taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(9, c_in, c_out)
+    out = np.empty((s, height - 2, row, c_out))  # with the pad columns' outputs
+    out_rows = out.reshape(-1, c_out)
+    bands = list(_row_bands(height - 2, row - 2, c_in))
+    # a band accumulates the outputs of its whole rows in place. The last
+    # two outputs of the stack would read past the rows, so its last band
+    # starts two outputs early instead, on the previous row's pad columns.
+    # Every GEMM then has a band's rows, never one row alone (BLAS takes
+    # another path for one row, which rounds differently), and an output's
+    # bits do not depend on the band height.
+    last = taps[0].stop  # outputs whose nine taps lie within the rows
+    term = np.empty((bands[0].stop * row, c_out))
+    for scene in range(s):
+        for band in bands:
+            size = (band.stop - band.start) * row
+            start = (scene * height + band.start) * row
+            first = max(0, min(start, last - size))
+            span = min(size, last - first)
+            dst = first - 2 * scene * row  # the output has no pad rows
+            band_out = out_rows[dst : dst + span]
+            band_out[...] = b
+            for tap, w_tap in zip(taps, w_taps):
+                shifted = rows[first + tap.start : first + tap.start + span]
+                band_out += np.matmul(shifted, w_tap, out=term[:span])
+    return out[:, :, :-2].reshape(x.shape[:-1] + (c_out,))
 
 
 def conv3x3_replicate_backward(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
@@ -380,14 +408,16 @@ class AffinityState:
         return _embed(self.F, self.emb)
 
 
-BAND_TAPS = 32768  # taps per row band: a band's per-tap temporaries stay in cache
+BAND_TAPS = 32768  # taps (conv: input values) per row band: a band's temporaries stay in cache
 
 
 def _row_bands(height: int, width: int, n: int):
-    """Row slices of ``max(1, BAND_TAPS // (width * n))`` rows covering a map
-    of n taps per pixel; the last one may be shorter. A map of at most
+    """Row slices covering a map of n taps per pixel in as few bands as keep
+    each within ``max(1, BAND_TAPS // (width * n))`` rows, split evenly: the
+    first is the tallest and the last may be shorter. A map of at most
     BAND_TAPS taps is one band."""
-    rows = max(1, BAND_TAPS // max(1, width * n))
+    most = max(1, BAND_TAPS // max(1, width * n))
+    rows = -(-height // max(1, -(-height // most)))
     for top in range(0, height, rows):
         yield slice(top, min(top + rows, height))
 
@@ -418,20 +448,18 @@ def _affinity_at(F: np.ndarray, f_self: np.ndarray, positions, n: int, emb: Embe
     rows ``band``.
 
     The state is allocated once and filled one row band at a time: the
-    band's taps, then each neighbour logit as the bilinear blend of its four
-    corner products ``q . K[corner]`` (see the module docstring) and its
-    position gradient, then the softmax. The corner products and the taps'
-    fractions are the band's scratch. Logits are max-shifted before
-    exponentiation; the self term is part of the normalisation, so all
-    weights are strictly positive and sum to 1 with the self weight
+    band's taps, its query ``q`` and self logit, then each neighbour logit
+    as the bilinear blend of its four corner products ``q . K[corner]`` (see
+    the module docstring) and its position gradient, then the softmax. The
+    embeddings, the corner products and the taps' fractions are the band's
+    scratch; only the padded keys ``K`` span the map. Logits are max-shifted
+    before exponentiation; the self term is part of the normalisation, so
+    all weights are strictly positive and sum to 1 with the self weight
     included.
     """
     s, h, w = f_self.shape[:3]
     taps = Taps((s, h, w, n), F.shape[2], F.shape[1])
     scale = np.sqrt(float(F.shape[-1]))
-    q, k_self = _embed(f_self, emb)
-    logit_self = (q * k_self).sum(axis=-1) / scale
-    del k_self  # only the self logit reads it
     keys = edge_pad(_matmul_last(F, emb.g_phi))
     logit_grad = np.empty((2,) + taps.index.shape)
     w_nb = np.empty(taps.index.shape)
@@ -443,15 +471,17 @@ def _affinity_at(F: np.ndarray, f_self: np.ndarray, positions, n: int, emb: Embe
     for band in _row_bands(h, w, 2 * n):
         part = taps.rows(band)
         frac = part.place(*positions(band))
+        q, k_self = _embed(f_self[:, band], emb)
+        logit_self = (q * k_self).sum(axis=-1) / scale
         dots = np.empty(part.weights.shape)
         for c in range(4):
-            np.einsum("...nd,...d->...n", part.corner(keys, c), q[:, band], out=dots[c])
+            np.einsum("...nd,...d->...n", part.corner(keys, c), q, out=dots[c])
         position_gradient(dots, frac, out=logit_grad[:, :, band])
         logit_nb = part.lerp(dots) / scale
         # the initial value lets a per-pixel call pass an empty neighbour list
-        top = np.maximum(logit_nb.max(axis=-1, initial=-np.inf), logit_self[:, band])
+        top = np.maximum(logit_nb.max(axis=-1, initial=-np.inf), logit_self)
         e_nb = np.exp(logit_nb - top[..., np.newaxis])
-        e_self = np.exp(logit_self[:, band] - top)
+        e_self = np.exp(logit_self - top)
         z = e_nb.sum(axis=-1) + e_self
         np.divide(e_nb, z[..., np.newaxis], out=w_nb[:, band])
         np.divide(e_self, z, out=w_self[:, band])
@@ -528,12 +558,14 @@ def refine_forward_batched(
     """Iterate (step, blend toward measurements) on (S, h, w) stacks."""
     current = d0
     records = []
+    stay, pull = 1.0 - replace_factor, replace_factor * ds
     for _ in range(iters):
         stepped, rec = dspn_step_forward(current, aff)
         if keep_records:
             records.append(rec)
         del rec  # else a dropped record outlives the next step's allocation
-        current = (1.0 - replace_factor) * stepped + replace_factor * ds
+        current = np.multiply(stay, stepped, out=stepped)  # no record keeps ``stepped``
+        current += pull
     return RefineState(
         affinity=aff, steps=records, replace_factor=replace_factor, out=current, iters=iters
     )

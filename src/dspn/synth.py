@@ -181,10 +181,18 @@ def _nearest_valid_fill(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
        two are equal at an integer x, so the raster tie-break rides in the
        key and floor-division breakpoints are exact. The stack pushes loop
        over columns and run vectorised across rows.
+
+    A map wider than tall is filled as its transpose, so the loop runs over
+    the short axis. The key's raster term stays the map's own raster index
+    (its strides over the transpose's rows and columns are 1 and the
+    transpose's height), so ties resolve as before: of two tied rows of the
+    transpose in pass 1, the upper one still has the smaller raster index.
     """
-    h, w = values.shape
-    n = h * w
-    valid = mask == 1.0
+    n = values.size
+    flip = values.shape[1] > values.shape[0]
+    valid = np.ascontiguousarray((mask.T if flip else mask) == 1.0)
+    h, w = valid.shape
+    stride = (1, h) if flip else (w, 1)
     every_row = np.arange(h)
     rows = every_row[:, np.newaxis]
 
@@ -193,7 +201,7 @@ def _nearest_valid_fill(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     take_above = rows - above <= below - rows
     near_row = np.where(take_above, above, below)
     gap = np.where(take_above, rows - above, below - rows)
-    key = n * gap * gap + near_row * w + np.arange(w)
+    key = n * gap * gap + near_row * stride[0] + np.arange(w) * stride[1]
 
     cols = np.flatnonzero(valid.any(axis=0))
     stack = np.empty((h, cols.size), dtype=np.int64)  # envelope columns
@@ -227,7 +235,8 @@ def _nearest_valid_fill(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         (rows * (w + 1) + first_x)[live], minlength=h * (w + 1)
     ).reshape(h, w + 1)
     owner = stack[rows, np.cumsum(counts, axis=1)[:, :w]]
-    return values[near_row[rows, owner], owner]
+    source = near_row[rows, owner] * stride[0] + owner * stride[1]  # raster index
+    return np.take(values, source.T if flip else source)
 
 
 def box_blur3(values: np.ndarray) -> np.ndarray:

@@ -302,13 +302,13 @@ class TestCompleteContract:
         assert rest["w_self"].shape == (1, 64, 64)
 
     def test_affinity_peak_is_its_state_plus_one_band(self):
-        # 176x608 at k=3, traced: the state, the three per-pixel embedding
-        # maps the affinity forms (q, k_self and the padded keys) and one
-        # band's scratch, budgeted at 256 B per tap of a step band (the
-        # affinity's band has half the taps, and its positions, fractions,
+        # 176x608 at k=3, traced: the state, the padded keys (the one
+        # per-pixel embedding map the affinity keeps whole) and one band's
+        # scratch, budgeted at 256 B per tap of a step band (the affinity's
+        # band has half the taps, and its positions, fractions, embeddings,
         # corner products, one corner's key read and softmax temporaries
-        # come to about 170 B per tap); any whole-map per-tap temporary or
-        # field would overshoot
+        # come to about 180 B per tap); any whole-map per-tap temporary,
+        # field or per-pixel query would overshoot
         h, w, k, d = 176, 608, 3, 6
         n = k * k - 1
         rng = np.random.default_rng(5)
@@ -317,7 +317,7 @@ class TestCompleteContract:
         emb = EmbeddingParams(rng.normal(0.0, 0.4, (d, d)), rng.normal(0.0, 0.4, (d, d)))
         band_taps = len(range(*next(deformable._row_bands(h, w, n)).indices(h))) * w * n
         state = h * w * n * cli.STATE_BYTES_PER_TAP["dspn"] + h * w * 8
-        embeddings = (2 * h * w + (h + 2) * (w + 2)) * d * 8
+        keys = (h + 2) * (w + 2) * d * 8
         tracemalloc.start()
         try:
             aff = affinity_forward_batched(feats, delta, emb, k)
@@ -325,7 +325,7 @@ class TestCompleteContract:
         finally:
             tracemalloc.stop()
         assert aff.w_nb.shape == (1, h, w, n)
-        assert peak <= state + embeddings + 256 * band_taps
+        assert peak <= state + keys + 256 * band_taps
 
     @pytest.mark.parametrize("where", ["sparse", "gt"])
     def test_negative_depth_exits_2_naming_the_map(self, where, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,51 @@ class TestConv:
         scenes = x.reshape((-1,) + x.shape[-3:])
         ref = np.stack([conv3x3_replicate_ref(s, w, b) for s in scenes]).reshape(out.shape)
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+
+    @SHAPES
+    @CHANNELS
+    @pytest.mark.parametrize("band_rows", [1, 2, 3])
+    def test_row_bands_change_nothing(self, monkeypatch, shape, c_in, c_out, band_rows):
+        # bands of at most band_rows rows, split evenly: 9 rows run as
+        # 2+2+2+2+1 or 3+3+3, 5 rows as 2+2+1 or 3+2, and each scene of the
+        # (2, 5, 7) stack starts a band of its own; a one-row band of a
+        # 1-wide map has a single valid output, whose GEMM must still give
+        # the same bits
+        _, x, w, b = self._draw(shape, c_in, c_out)
+        height, width = shape[-2:]
+        monkeypatch.setattr(deformable, "BAND_TAPS", 10**9)
+        whole = conv3x3_replicate(x, w, b)
+        monkeypatch.setattr(deformable, "BAND_TAPS", band_rows * width * c_in)
+        assert len(list(deformable._row_bands(height, width, c_in))) == -(-height // band_rows)
+        banded = conv3x3_replicate(x, w, b)
+        assert np.array_equal(banded, whole)
+        scenes = x.reshape((-1,) + x.shape[-3:])
+        ref = np.stack([conv3x3_replicate_ref(s, w, b) for s in scenes]).reshape(banded.shape)
+        np.testing.assert_allclose(banded, ref, rtol=1e-12, atol=1e-12)
+
+    def test_forward_peak_is_its_input_output_and_one_band(self):
+        # one 176x608 8 -> 16 layer, traced: the edge-padded input, the
+        # output (with the pad columns that its returned view drops) and one
+        # band's GEMM term, with 128 KiB for the weights and numpy's 64 KiB
+        # ufunc buffer (the bias broadcasts); a whole-map accumulator or term
+        # (13.9 MB) would overshoot
+        h, w, c_in, c_out = 176, 608, 8, 16
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((h, w, c_in))
+        weights = rng.standard_normal((c_out, c_in, 3, 3))
+        bias = rng.standard_normal(c_out)
+        band = next(deformable._row_bands(h, w, c_in))
+        padded = (h + 2) * (w + 2) * c_in * 8
+        output = h * (w + 2) * c_out * 8
+        term = band.stop * (w + 2) * c_out * 8
+        tracemalloc.start()
+        try:
+            out = conv3x3_replicate(x, weights, bias)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (h, w, c_out)
+        assert peak <= padded + output + term + 131072
 
     @SHAPES
     @CHANNELS

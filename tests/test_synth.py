@@ -230,6 +230,31 @@ class TestNearestFill:
             mask[rng.integers(h), rng.integers(w)] = 1.0
         _assert_fill_matches_ref(mask)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sides=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        orientation=st.sampled_from(["wide", "tall", "square"]),
+        lattice=st.none() | st.tuples(st.integers(1, 4), st.integers(0, 3), st.integers(0, 3)),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_both_orientations(self, sides, orientation, lattice, density, seed):
+        # a wide map is filled as its transpose and a tall or square one as
+        # it stands; lattice masks put many pixels at equal distance from
+        # two or four valid ones
+        short, long = sorted(sides)
+        h, w = {"wide": (short, long), "tall": (long, short), "square": (long, long)}[orientation]
+        rng = np.random.default_rng(seed)
+        if lattice is None:
+            mask = (rng.random((h, w)) < density).astype(np.float64)
+        else:
+            stride, dy, dx = lattice
+            mask = np.zeros((h, w))
+            mask[dy % stride :: stride, dx % stride :: stride] = 1.0
+        if not mask.any():
+            mask[rng.integers(h), rng.integers(w)] = 1.0
+        _assert_fill_matches_ref(mask)
+
 
 class TestFeatures:
     def test_constant_map_zero_gradient_channels(self):
