@@ -470,9 +470,10 @@ def _affinity_at(F: np.ndarray, f_self: np.ndarray, positions, n: int, emb: Embe
     # lets malloc return it to the system and fault it in again next call
     for band in _row_bands(h, w, 2 * n):
         part = taps.rows(band)
-        frac = part.place(*positions(band))
         q, k_self = _embed(f_self[:, band], emb)
         logit_self = (q * k_self).sum(axis=-1) / scale
+        del k_self  # only the self logit reads it; freed before the taps' scratch
+        frac = part.place(*positions(band))
         dots = np.empty(part.weights.shape)
         for c in range(4):
             np.einsum("...nd,...d->...n", part.corner(keys, c), q, out=dots[c])
