@@ -230,11 +230,11 @@ def init_fit_params(cfg: RunConfig) -> FitParams:
 
 # Bytes of propagation state per tap (one pixel's read of one neighbour) that
 # one scene holds. dspn: the taps' base index into the padded stack (8 B),
-# four bilinear weights (32 B), the softmax weight (8 B) and the logit's two
-# position gradients (16 B). cspn: the raw and the normalised stencil.
-STATE_BYTES_PER_TAP = {"dspn": 64, "cspn": 16}
-# Cap on that state: k=3 dspn on a 1216x352 KITTI map (about 209 MiB) fits,
-# and a run's peak memory is about twice its state.
+# four bilinear weights (32 B) and the softmax weight (8 B). cspn: the raw
+# and the normalised stencil.
+STATE_BYTES_PER_TAP = {"dspn": 48, "cspn": 16}
+# Cap on that state: k=3 and k=5 dspn on a 1216x352 KITTI map (about 157
+# and 470 MiB) fit, and a run's peak memory is about twice its state.
 MAX_STATE_BYTES = 512 * 2**20
 
 

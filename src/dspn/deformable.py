@@ -11,9 +11,10 @@ The bilinear read is linear, so the logit ``q . (G_phi f_nb)`` of a tap
 equals the bilinear blend of its four corner products ``q . K[corner]``,
 where ``K = F G_phi^T`` is embedded once per pixel, not once per tap. The
 affinity therefore reads one scalar per corner and keeps no per-tap feature
-or key tensor. It keeps the corner products only as the two position
-gradients of each logit; the backward pass re-derives the embeddings and the
-taps' fractions, and re-gathers features one corner at a time.
+or key tensor, and keeps no corner products either: the backward pass
+re-derives them band by band for the logits' position gradients, as it
+re-derives the embeddings and the taps' fractions, and re-gathers features
+one corner at a time.
 
 The numerical core works on scene batches, shape (S, h, w, ...), and reads
 every sampled value (corner products here, depth in each step, their
@@ -275,24 +276,35 @@ def conv3x3_replicate(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray
     return out[:, :, :-2].reshape(x.shape[:-1] + (c_out,))
 
 
-def conv3x3_replicate_backward(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
-    """Gradients of :func:`conv3x3_replicate` w.r.t. weights, bias, and input:
-    its GEMMs transposed on the same rows, where the dropped outputs carry
-    zero gradient, and the input's folded by :func:`edge_fold`."""
-    c_out, c_in = w.shape[:2]
+def _conv3x3_weight_gradient(x: np.ndarray, d_out: np.ndarray):
+    """Weight and bias gradients of :func:`conv3x3_replicate`: its nine tap
+    GEMMs transposed on the same rows, where the dropped outputs carry zero
+    gradient. Also returns the input's padded stack, the taps' row slices
+    and the output gradient on those rows, for the input gradient."""
+    c_out, c_in = d_out.shape[-1], x.shape[-1]
     padded, rows, taps = _edge_rows(x)
     d_acc = np.zeros((len(rows), c_out))
     d_acc.reshape(padded.shape[:-1] + (-1,))[:, :-2, :-2] = d_out.reshape(padded.shape[:1] + d_out.shape[-3:])
     d_acc = d_acc[taps[0]]
     d_w = np.empty((9, c_out, c_in))
-    d_rows = np.zeros_like(rows)
-    term = np.empty((len(d_acc), c_in))
-    for tap, d_tap, w_tap in zip(taps, d_w, w.transpose(2, 3, 0, 1).reshape(9, c_out, c_in)):
+    for tap, d_tap in zip(taps, d_w):
         np.matmul(d_acc.T, rows[tap], out=d_tap)
-        d_rows[tap] += np.matmul(d_acc, w_tap, out=term)
     d_w = d_w.reshape(3, 3, c_out, c_in).transpose(2, 3, 0, 1).copy()
+    return d_w, d_out.reshape(-1, c_out).sum(axis=0), (padded, taps, d_acc)
+
+
+def conv3x3_replicate_backward(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
+    """Gradients of :func:`conv3x3_replicate` w.r.t. weights, bias, and input;
+    the input's are the tap GEMMs transposed onto the padded rows, folded by
+    :func:`edge_fold`."""
+    c_out, c_in = w.shape[:2]
+    d_w, d_b, (padded, taps, d_acc) = _conv3x3_weight_gradient(x, d_out)
+    d_rows = np.zeros((padded.size // c_in, c_in))
+    term = np.empty((len(d_acc), c_in))
+    for tap, w_tap in zip(taps, w.transpose(2, 3, 0, 1).reshape(9, c_out, c_in)):
+        d_rows[tap] += np.matmul(d_acc, w_tap, out=term)
     d_x = edge_fold(d_rows.reshape(padded.shape)).reshape(x.shape)
-    return d_w, d_out.reshape(-1, c_out).sum(axis=0), d_x
+    return d_w, d_b, d_x
 
 
 @dataclass
@@ -326,7 +338,7 @@ def offset_estimator_backward(d_delta: np.ndarray, cache: EstimatorCache, params
     d_pre2 = d_act2 * (cache.act2 > 0.0)
     d_w2, d_b2, d_act1 = conv3x3_replicate_backward(cache.act1, params.w2, d_pre2)
     d_pre1 = d_act1 * (cache.act1 > 0.0)
-    d_w1, d_b1, _ = conv3x3_replicate_backward(cache.x, params.w1, d_pre1)
+    d_w1, d_b1, _ = _conv3x3_weight_gradient(cache.x, d_pre1)  # features are data: no input gradient
     return {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2, "w3": d_w3, "b3": d_b3}
 
 
@@ -378,20 +390,19 @@ def compute_affinity(F: Grid, emb: EmbeddingParams, x_i, nbrs) -> AffinityWeight
 
 @dataclass
 class AffinityState:
-    """Batched affinity weights plus what the backward pass cannot cheaply
-    re-derive.
+    """Batched affinity weights plus the taps that propagation reads.
 
     Leading axes (S, h, w) are the scene stack and the pixels of each
-    scene; the per-pixel view is a 1x1 map. Per tap it keeps 64 B: the
-    taps' index and weights, the softmax weight and the two position
-    gradients of the logit. The taps' fractions follow from ``positions``
-    and the embeddings from ``F`` (see :meth:`embeddings`), so no field has
-    a per-tap channel axis and none holds per-pixel embeddings.
+    scene; the per-pixel view is a 1x1 map. Per tap it keeps 48 B: the
+    taps' index and weights and the softmax weight. The taps' fractions
+    follow from ``positions``, the embeddings from ``F`` (see
+    :meth:`embeddings`) and the logits' corner products from both (see
+    :func:`_corner_products`), so no field has a per-tap channel axis and
+    none holds per-pixel embeddings or gradient state.
     """
 
     scale: float
     taps: Taps
-    logit_grad: np.ndarray  # (2, S, h, w, n) d/dx, d/dy of each neighbour's q . K read (logit * scale)
     w_nb: np.ndarray  # (S, h, w, n)
     w_self: np.ndarray  # (S, h, w)
     F: np.ndarray  # (S, h, w, d_F) features at the propagating pixels
@@ -406,6 +417,19 @@ class AffinityState:
         """The pixels' (q, k_self), recomputed exactly as the forward pass
         formed them."""
         return _embed(self.F, self.emb)
+
+    def logit_position_gradients(self, frac):
+        """Per row band of the affinity: the band and the (2, S, rows, w, n)
+        d/dx, d/dy of its neighbour logits times ``scale``, given the taps'
+        whole-map :func:`dspn.grid.fractions`. The corner products are
+        re-derived band by band exactly as the forward pass formed them, so
+        neither they nor their gradients span the map."""
+        keys = edge_pad(_matmul_last(self.stack, self.emb.g_phi))
+        h, w, n = self.w_nb.shape[1:]
+        for band in _row_bands(h, w, 2 * n):
+            q = _matmul_last(self.F[:, band], self.emb.g_theta)
+            dots = _corner_products(self.taps.rows(band), keys, q)
+            yield band, position_gradient(dots, [f[:, band] for f in frac])
 
 
 BAND_TAPS = 32768  # taps (conv: input values) per row band: a band's temporaries stay in cache
@@ -433,6 +457,17 @@ def _embed(f_self: np.ndarray, emb: EmbeddingParams):
     return _matmul_last(f_self, emb.g_theta), _matmul_last(f_self, emb.g_phi)
 
 
+def _corner_products(part: Taps, keys: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The four corner products ``q . K[corner]`` of a row band's taps,
+    (4, S, rows, w, n), from the padded keys ``K`` and the band's (S, rows,
+    w, d_e) query: the one place the forward and the backward pass form
+    them."""
+    dots = np.empty(part.weights.shape)
+    for c in range(4):
+        np.einsum("...nd,...d->...n", part.corner(keys, c), q, out=dots[c])
+    return dots
+
+
 def _displaced_positions(x, y, delta: np.ndarray, kernel_size: int):
     """Sampling positions: pixel (x, y) plus its ring offset plus the learned
     offset. ``x`` and ``y`` broadcast against ``delta[..., 0]``, whose last
@@ -450,9 +485,9 @@ def _affinity_at(F: np.ndarray, f_self: np.ndarray, positions, n: int, emb: Embe
     The state is allocated once and filled one row band at a time: the
     band's taps, its query ``q`` and self logit, then each neighbour logit
     as the bilinear blend of its four corner products ``q . K[corner]`` (see
-    the module docstring) and its position gradient, then the softmax. The
-    embeddings, the corner products and the taps' fractions are the band's
-    scratch; only the padded keys ``K`` span the map. Logits are max-shifted
+    the module docstring), then the softmax. The embeddings, the corner
+    products and the taps' fractions are the band's scratch; only the
+    padded keys ``K`` span the map. Logits are max-shifted
     before exponentiation; the self term is part of the normalisation, so
     all weights are strictly positive and sum to 1 with the self weight
     included.
@@ -461,7 +496,6 @@ def _affinity_at(F: np.ndarray, f_self: np.ndarray, positions, n: int, emb: Embe
     taps = Taps((s, h, w, n), F.shape[2], F.shape[1])
     scale = np.sqrt(float(F.shape[-1]))
     keys = edge_pad(_matmul_last(F, emb.g_phi))
-    logit_grad = np.empty((2,) + taps.index.shape)
     w_nb = np.empty(taps.index.shape)
     w_self = np.empty((s, h, w))
     # a band's scratch here (fractions, corner products, one corner's key
@@ -473,11 +507,8 @@ def _affinity_at(F: np.ndarray, f_self: np.ndarray, positions, n: int, emb: Embe
         q, k_self = _embed(f_self[:, band], emb)
         logit_self = (q * k_self).sum(axis=-1) / scale
         del k_self  # only the self logit reads it; freed before the taps' scratch
-        frac = part.place(*positions(band))
-        dots = np.empty(part.weights.shape)
-        for c in range(4):
-            np.einsum("...nd,...d->...n", part.corner(keys, c), q, out=dots[c])
-        position_gradient(dots, frac, out=logit_grad[:, :, band])
+        part.place(*positions(band))
+        dots = _corner_products(part, keys, q)
         logit_nb = part.lerp(dots) / scale
         # the initial value lets a per-pixel call pass an empty neighbour list
         top = np.maximum(logit_nb.max(axis=-1, initial=-np.inf), logit_self)
@@ -487,7 +518,7 @@ def _affinity_at(F: np.ndarray, f_self: np.ndarray, positions, n: int, emb: Embe
         np.divide(e_nb, z[..., np.newaxis], out=w_nb[:, band])
         np.divide(e_self, z, out=w_self[:, band])
     return AffinityState(
-        scale=scale, taps=taps, logit_grad=logit_grad, w_nb=w_nb, w_self=w_self,
+        scale=scale, taps=taps, w_nb=w_nb, w_self=w_self,
         F=f_self, stack=F, emb=emb, positions=positions,
     )
 

@@ -135,10 +135,10 @@ def dspn_backward(grad_out, state: RefineState, detach_weights: bool = False) ->
         dlogit_nb = aff.w_nb * (dw_nb - t[..., np.newaxis]) / aff.scale
         dlogit_self = -aff.w_self * t / aff.scale
         # a neighbour logit is the bilinear blend of its corner products
-        # q . K[corner]; the forward pass kept their position gradient
-        ddx, ddy = aff.logit_grad
-        dpos_x += dlogit_nb * ddx
-        dpos_y += dlogit_nb * ddy
+        # q . K[corner], whose position gradient is re-derived band by band
+        for band, (ddx, ddy) in aff.logit_position_gradients(frac):
+            dpos_x[:, band] += dlogit_nb[:, band] * ddx
+            dpos_y[:, band] += dlogit_nb[:, band] * ddy
         # h = sum over taps and corners of dlogit * weight * F[corner], the
         # per-pixel feature-space gradient of the neighbour logits
         stack = edge_pad(aff.stack)

@@ -27,9 +27,9 @@ from dspn.cli import (
     load_config,
     main,
 )
-from dspn.deformable import EmbeddingParams, affinity_forward_batched
+from dspn.deformable import EmbeddingParams, affinity_forward_batched, refine_forward_batched
 from dspn.errors import DspnError, InvalidConfig
-from dspn.gradcheck import toy_fit
+from dspn.gradcheck import dspn_backward, toy_fit
 from dspn.grid import Taps
 
 
@@ -255,7 +255,7 @@ class TestCompleteContract:
         assert np.isfinite(refined).all()
         assert lo - eps <= refined.min() and refined.max() <= hi + eps
 
-    @pytest.mark.parametrize("height,width,k", [(64, 64, 3), (64, 64, 5), (352, 1216, 3)])
+    @pytest.mark.parametrize("height,width,k", [(64, 64, 3), (64, 64, 5), (352, 1216, 3), (352, 1216, 5)])
     def test_default_sizes_fit_the_state_cap(self, height, width, k):
         assert check_state_size(height, width, k, "dspn") <= MAX_STATE_BYTES
         assert check_state_size(height, width, k, "cspn") <= MAX_STATE_BYTES
@@ -327,6 +327,42 @@ class TestCompleteContract:
         assert aff.w_nb.shape == (1, h, w, n)
         assert peak <= state + keys + 256 * band_taps
 
+    def test_backward_peak_is_its_arrays_plus_one_band(self):
+        # one dspn_backward of a 6-step refine at 176x608, k=3, traced. Its
+        # peak is the feature-space gradient's corner loop: per tap, the
+        # three gradient accumulators (24 B), the taps' whole-map fractions
+        # (32 B), the logit gradient, the last step's weighted upstream and
+        # one corner's weighted logit gradient (24 B) and one corner's
+        # feature read (8 B per channel); per pixel, four scalar maps and
+        # five of d channels (the query, self key, padded features, their
+        # gradient and one corner's term). The budget adds one band's
+        # scratch (256 B per tap of a step band). The logits' corner
+        # products and their position gradients are formed band by band:
+        # held whole-map, either overshoots
+        h, w, k, d, iters = 176, 608, 3, 6, 6
+        n = k * k - 1
+        rng = np.random.default_rng(5)
+        feats = rng.uniform(0.0, 1.0, (1, h, w, d))
+        delta = rng.normal(0.0, 1.0, (1, h, w, n, 2))
+        emb = EmbeddingParams(rng.normal(0.0, 0.4, (d, d)), rng.normal(0.0, 0.4, (d, d)))
+        aff = affinity_forward_batched(feats, delta, emb, k)
+        maps = rng.uniform(0.0, 10.0, (3, 1, h, w))
+        state = refine_forward_batched(maps[0], maps[1], maps[2] / 10.0, aff, iters)
+        upstream = rng.standard_normal((1, h, w))
+        taps = h * w * n
+        band_taps = len(range(*next(deformable._row_bands(h, w, n)).indices(h))) * w * n
+        budget = (80 + 8 * d) * taps + 8 * (4 + 5 * d) * h * w + 256 * band_taps
+        tracemalloc.start()
+        try:
+            grads = dspn_backward(upstream, state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grads["offsets"].shape == (1, h, w, n, 2)
+        assert peak <= budget
+        # the budget leaves less room than one whole-map corner-products array
+        assert peak + 4 * taps * 8 > budget
+
     @pytest.mark.parametrize("where", ["sparse", "gt"])
     def test_negative_depth_exits_2_naming_the_map(self, where, tmp_path, capsys):
         rng = np.random.default_rng(3)
@@ -343,9 +379,9 @@ class TestCompleteContract:
         assert not (tmp_path / "out" / "refined.grd").exists()
 
     # the state is estimated before any of it is allocated: these sizes
-    # would need 0.5 to 39 GB
-    @pytest.mark.parametrize("refine", ["dspn", "cspn"])
-    @pytest.mark.parametrize("k", [9, 31])
+    # would need 0.5 to 20 GB. k=7 is over the cap for dspn only (about
+    # 940 MiB; cspn needs about 313 MiB and runs)
+    @pytest.mark.parametrize("k,refine", [(7, "dspn"), (9, "dspn"), (9, "cspn"), (31, "dspn"), (31, "cspn")])
     def test_oversized_kernel_on_a_kitti_map_exits_2(self, refine, k, tmp_path, capsys):
         sparse = tmp_path / "sparse.pgm"
         depth = np.zeros((352, 1216))

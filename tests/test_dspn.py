@@ -345,7 +345,7 @@ class TestBands:
             rng.uniform(0.0, 10.0, (s, h, w)), rng.uniform(0.0, 10.0, (s, h, w)),
             rng.uniform(0.0, 1.0, (s, h, w)) * (rng.random((s, h, w)) < 0.3), aff, 3,
         )
-        arrays = {"w_nb": aff.w_nb, "w_self": aff.w_self, "logit_grad": aff.logit_grad, "out": state.out}
+        arrays = {"w_nb": aff.w_nb, "w_self": aff.w_self, "out": state.out}
         for name in ("index", "weights"):
             arrays["taps." + name] = getattr(aff.taps, name)
         for i, rec in enumerate(state.steps):
