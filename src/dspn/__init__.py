@@ -31,7 +31,7 @@ from .gradcheck import (
     toy_fit,
 )
 from .grid import ContinuousPos, Grid, bilinear_sample
-from .io import read_grd, read_pgm16, write_grd, write_pgm16
+from .io import read_grd, read_grid, read_pgm16, write_grd, write_pgm16
 from .metrics import LossWeights, MetricReport, eval_metrics
 from .synth import (
     Scene,
@@ -82,6 +82,7 @@ __all__ = [
     "offset_estimator",
     "prepare_scene",
     "read_grd",
+    "read_grid",
     "read_pgm16",
     "sample_sparse",
     "soft_replace",

@@ -12,10 +12,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +30,7 @@ from .gradcheck import (
     toy_fit,
 )
 from .grid import Grid
-from .io import read_grd, read_pgm16, write_grd
+from .io import read_grid, write_grd
 from .metrics import LossWeights, eval_metrics, valid_gt
 from .synth import Scene, SceneSpec, SparseSpec, build_scene, prepare_scene, suite_seeds
 
@@ -54,7 +52,8 @@ class TrainConfig:
 
 @dataclass
 class InputsConfig:
-    """Sensor files for ``complete`` (.pgm or .grd); empty means generate a scene."""
+    """Sensor files for ``complete`` (PGM or GRD1, told apart by their first
+    bytes); empty means generate a scene."""
 
     sparse: str = ""
     gt: str = ""
@@ -187,18 +186,6 @@ def load_config(path: str | None, overrides) -> RunConfig:
     return build_config(RunConfig, doc)
 
 
-def worker_count() -> int:
-    """Scene-level worker processes, from DSPN_THREADS (default 1)."""
-    raw = os.environ.get("DSPN_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise InvalidConfig(f"DSPN_THREADS must be a positive integer, got {raw!r}")
-    return count
-
-
 def fmt(v: float) -> str:
     return f"{v:.6g}"
 
@@ -295,19 +282,12 @@ def refine_scene(
     return dspn_refine(scene.d0, scene.ds, scene.m, conf, scene.features, offsets, params.emb, iters)
 
 
-def _eval_one(args):
-    scene, method, iters, kernel_size, params, replacement = args
-    refined = refine_scene(scene, method, iters, kernel_size, params, replacement)
-    return eval_metrics(refined, scene.dstar)
-
-
 def evaluate_suite(scenes, method, iters, kernel_size, params=None, replacement="soft"):
-    jobs = [(s, method, iters, kernel_size, params, replacement) for s in scenes]
-    workers = worker_count()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_eval_one, jobs))
-    return [_eval_one(j) for j in jobs]
+    """One metric report per scene, in suite order."""
+    return [
+        eval_metrics(refine_scene(s, method, iters, kernel_size, params, replacement), s.dstar)
+        for s in scenes
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -327,16 +307,10 @@ def run_generate(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_input_grid(path: str) -> Grid:
-    if path.endswith(".pgm"):
-        return read_pgm16(path)
-    return read_grd(path)
-
-
 def _scene_from_inputs(cfg: RunConfig) -> Scene:
-    ds = _load_input_grid(cfg.inputs.sparse)
+    ds = read_grid(cfg.inputs.sparse)
     m = Grid((ds.channel(0) > 0.0).astype(np.float64))
-    dstar = _load_input_grid(cfg.inputs.gt) if cfg.inputs.gt else None
+    dstar = read_grid(cfg.inputs.gt) if cfg.inputs.gt else None
     return build_scene(dstar, ds, m, cfg.feature_channels, ConfidenceConfig(cfg.gamma))
 
 
@@ -471,9 +445,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, [*args.overrides, f"mode={args.mode}"])
-        worker_count()  # a bad DSPN_THREADS fails here, before any work
         return run(cfg)
-    except (DspnError, OSError) as exc:
+    except (DspnError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -151,7 +151,7 @@ def fractions(px, py):
     return _fractions(px, py, np.floor(px), np.floor(py))
 
 
-def position_gradient(corners, frac, out: np.ndarray | None = None) -> np.ndarray:
+def position_gradient(corners, frac) -> np.ndarray:
     """d(lerp)/d(position), stacked as (d/dx, d/dy) along a leading axis of
     2, from four scalar corner reads and their taps' :func:`fractions`.
 
@@ -162,8 +162,7 @@ def position_gradient(corners, frac, out: np.ndarray | None = None) -> np.ndarra
     """
     v00, v10, v01, v11 = corners
     fx, fy, gx, gy = frac
-    if out is None:
-        out = np.empty((2,) + np.shape(v00))
+    out = np.empty((2,) + np.shape(v00))
     ddx = np.multiply(gy, v10 - v00, out=out[0])
     ddx += fy * (v11 - v01)
     ddy = np.multiply(gx, v01 - v00, out=out[1])

@@ -7,6 +7,9 @@ order. Values widen to float64 in memory.
 PGM: binary "P5" with maxval 65535 and big-endian 16-bit samples. Raw
 values convert to depth as raw / scale (KITTI convention scale 256, so raw
 256 is one metre); raw 0 means "missing" and stays depth 0.
+
+:func:`read_grid` reads either format, told apart by the file's first
+bytes, so a file's name never decides how it is read.
 """
 
 from __future__ import annotations
@@ -99,3 +102,15 @@ def read_pgm16(path, scale: float = DEPTH_SCALE) -> Grid:
         raise CorruptFile(f"{path}: payload is {len(blob) - offset} bytes, expected {expected}")
     raw = np.frombuffer(blob, dtype=">u2", offset=offset).reshape(height, width)
     return Grid(raw.astype(np.float64) / scale)
+
+
+def read_grid(path) -> Grid:
+    """The grid in a PGM (``P5``) or GRD1 file, whichever its first bytes
+    announce; any other content raises UnsupportedFormat."""
+    with open(path, "rb") as f:
+        magic = f.read(len(GRD_MAGIC))
+    if magic.startswith(b"P5"):
+        return read_pgm16(path)
+    if magic == GRD_MAGIC:
+        return read_grd(path)
+    raise UnsupportedFormat(f"{path}: neither a binary PGM (P5) nor a GRD1 file")

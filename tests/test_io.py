@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dspn import Grid, read_grd, read_pgm16, write_grd, write_pgm16
+from dspn import Grid, read_grd, read_grid, read_pgm16, write_grd, write_pgm16
 from dspn.errors import CorruptFile, UnsupportedFormat
 
 REJECTED = (CorruptFile, UnsupportedFormat)
@@ -187,3 +187,12 @@ class TestPgm16:
         path.write_bytes(blob)
         with pytest.raises(REJECTED):
             read_pgm16(path)
+
+
+class TestReadGrid:
+    @pytest.mark.parametrize("blob", [b"", b"P", b"GRD", b"P2\n1 1\n65535\n0", b"\x89PNG\r\n"])
+    def test_other_content_names_both_formats(self, tmp_path, blob):
+        path = tmp_path / "depth.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(UnsupportedFormat, match=r"PGM \(P5\).*GRD1"):
+            read_grid(path)
