@@ -86,6 +86,10 @@ class OffsetField:
         return cls(kernel_size, np.zeros((height, width, n, 2)))
 
 
+EMBED_INIT_SCALE = 0.5  # diagonal of the embeddings' initial identity
+EMBED_INIT_NOISE = 0.05  # standard deviation of the noise added to it
+
+
 @dataclass
 class EmbeddingParams:
     """The two learnable matrices mapping features to the embedding space.
@@ -116,27 +120,21 @@ class EmbeddingParams:
         return self.g_theta.shape[1]
 
     @classmethod
-    def init(
-        cls,
-        embed_dim: int,
-        feature_channels: int,
-        seed: int,
-        scale: float = 0.5,
-        noise: float = 0.05,
-    ) -> "EmbeddingParams":
-        """Identity-leaning random init.
+    def init(cls, embed_dim: int, feature_channels: int, seed: int) -> "EmbeddingParams":
+        """Identity-leaning random init: EMBED_INIT_SCALE times the identity
+        plus EMBED_INIT_NOISE times a standard normal draw.
 
         Similarity starts as a gently scaled feature dot product; the noise
-        breaks the theta/phi symmetry. The default scale keeps initial
-        logits small: coarse-map features are blurry, so a strong initial
-        similarity mostly amplifies their artifacts.
+        breaks the theta/phi symmetry. The scale keeps initial logits small:
+        coarse-map features are blurry, so a strong initial similarity
+        mostly amplifies their artifacts.
         """
         rng = np.random.default_rng(seed)
         base = np.zeros((embed_dim, feature_channels))
         d = min(embed_dim, feature_channels)
-        base[:d, :d] = scale * np.eye(d)
-        g_theta = base + noise * rng.standard_normal((embed_dim, feature_channels))
-        g_phi = base + noise * rng.standard_normal((embed_dim, feature_channels))
+        base[:d, :d] = EMBED_INIT_SCALE * np.eye(d)
+        g_theta = base + EMBED_INIT_NOISE * rng.standard_normal((embed_dim, feature_channels))
+        g_phi = base + EMBED_INIT_NOISE * rng.standard_normal((embed_dim, feature_channels))
         return cls(g_theta, g_phi)
 
 
@@ -541,42 +539,38 @@ def affinity_forward(F: np.ndarray, delta: np.ndarray, emb: EmbeddingParams, ker
 
 
 @dataclass
-class StepRecord:
-    """Input maps and sampled neighbour values of one propagation step."""
-
-    h_in: np.ndarray  # (S, h, w)
-    h_nb: np.ndarray  # (S, h, w, n)
-
-
-@dataclass
 class RefineState:
-    """Forward trace of a refine call: shared affinity plus per-step records."""
+    """Forward trace of a refine call: shared affinity plus, when recorded,
+    each step's input maps, whose neighbour reads the backward re-derives."""
 
     affinity: AffinityState
-    steps: list
+    inputs: list  # each step's (S, h, w) input maps; empty unless recorded
     replace_factor: np.ndarray  # m * M, (S, h, w)
     out: np.ndarray  # final refined maps, (S, h, w)
     iters: int
 
 
-def dspn_step_forward(h_arr: np.ndarray, aff: AffinityState):
+def dspn_step_forward(h_arr: np.ndarray, aff: AffinityState) -> np.ndarray:
     """One deformable step on (S, h, w) maps using precomputed affinity.
 
     Difference form keeps the convex-combination bound exact: with the self
     weight strictly positive the neighbour weights sum to strictly less
     than 1, so the output cannot escape [min, max] of the sampled values.
-    The step walks row bands (see :func:`_row_bands`); every pixel's
-    arithmetic is the same as in one pass over the whole map.
+    The step walks row bands (see :func:`_row_bands`), sampling each band's
+    neighbours into one band-sized scratch; every pixel's arithmetic is the
+    same as in one pass over the whole map.
     """
     out = np.empty_like(h_arr)
-    h_nb = np.empty(aff.w_nb.shape)
     padded = edge_pad(h_arr)
-    for band in _row_bands(*h_arr.shape[1:], aff.w_nb.shape[3]):
-        nb = aff.taps.rows(band).sample(padded, out=h_nb[:, band])
+    bands = list(_row_bands(*h_arr.shape[1:], aff.w_nb.shape[3]))
+    scratch = np.empty(aff.w_nb[:, bands[0]].shape)
+    for band in bands:
         here = h_arr[:, band]
-        np.einsum("shwn,shwn->shw", aff.w_nb[:, band], nb - here[..., np.newaxis], out=out[:, band])
+        nb = aff.taps.rows(band).sample(padded, out=scratch[:, : here.shape[1]])
+        nb -= here[..., np.newaxis]
+        np.einsum("shwn,shwn->shw", aff.w_nb[:, band], nb, out=out[:, band])
         out[:, band] += here
-    return out, StepRecord(h_in=h_arr, h_nb=h_nb)
+    return out
 
 
 def refine_forward_batched(
@@ -589,17 +583,16 @@ def refine_forward_batched(
 ) -> RefineState:
     """Iterate (step, blend toward measurements) on (S, h, w) stacks."""
     current = d0
-    records = []
+    inputs = []
     stay, pull = 1.0 - replace_factor, replace_factor * ds
     for _ in range(iters):
-        stepped, rec = dspn_step_forward(current, aff)
         if keep_records:
-            records.append(rec)
-        del rec  # else a dropped record outlives the next step's allocation
-        current = np.multiply(stay, stepped, out=stepped)  # no record keeps ``stepped``
+            inputs.append(current)
+        stepped = dspn_step_forward(current, aff)
+        current = np.multiply(stay, stepped, out=stepped)
         current += pull
     return RefineState(
-        affinity=aff, steps=records, replace_factor=replace_factor, out=current, iters=iters
+        affinity=aff, inputs=inputs, replace_factor=replace_factor, out=current, iters=iters
     )
 
 
@@ -621,8 +614,7 @@ def dspn_step(H: Grid, F: Grid, offsets: OffsetField, emb: EmbeddingParams) -> G
     """One full deformable propagation step over a grid."""
     _check_propagation_inputs(H, F, offsets, emb)
     aff = affinity_forward(F.data, offsets.delta, emb, offsets.kernel_size)
-    out, _ = dspn_step_forward(H.channel(0)[np.newaxis], aff)
-    return Grid(out[0])
+    return Grid(dspn_step_forward(H.channel(0)[np.newaxis], aff)[0])
 
 
 def dspn_refine_forward(

@@ -99,7 +99,7 @@ def dspn_backward(grad_out, state: RefineState, detach_weights: bool = False) ->
     """
     if state is None or state.affinity is None:
         raise InvalidState("dspn_backward needs the forward state of a recorded refine call")
-    if len(state.steps) != state.iters:
+    if len(state.inputs) != state.iters:
         raise InvalidState("forward state was built without per-step records")
     aff = state.affinity
     g = np.array(grad_out, dtype=np.float64, copy=True)
@@ -108,25 +108,33 @@ def dspn_backward(grad_out, state: RefineState, detach_weights: bool = False) ->
         g = g[np.newaxis]
 
     dw_nb = np.zeros_like(aff.w_nb)
-    dpos_x = np.zeros_like(aff.w_nb)
-    dpos_y = np.zeros_like(aff.w_nb)
+    dpos = np.zeros((2,) + aff.w_nb.shape)  # d/dx, d/dy of the sampling positions
     one_minus_sum = 1.0 - aff.w_nb.sum(axis=3)
     # the taps' fractions, re-derived from the positions, serve every step
     frac = fractions(*aff.positions(slice(None)))
+    # one per-tap buffer: a step's neighbour reads, then its weighted upstream
+    tap = np.empty_like(aff.w_nb)
 
-    for rec in reversed(state.steps):
+    # each step gathers its input's four corners once: they re-blend into
+    # the neighbour reads the step sampled and give their position gradient,
+    # and are dropped before the scatter
+    for h_in in reversed(state.inputs):
         g = g * (1.0 - state.replace_factor)
+        corners = aff.taps.corners(edge_pad(h_in))
         if not detach_weights:
-            dw_nb += g[..., np.newaxis] * (rec.h_nb - rec.h_in[..., np.newaxis])
-        gw = g[..., np.newaxis] * aff.w_nb
-        ddx, ddy = position_gradient(aff.taps.corners(edge_pad(rec.h_in)), frac)
-        dpos_x += gw * ddx
-        dpos_y += gw * ddy
-        g = aff.taps.scatter(gw) + g * one_minus_sum
+            aff.taps.blend(corners, out=tap)
+            tap -= h_in[..., np.newaxis]
+            tap *= g[..., np.newaxis]
+            dw_nb += tap
+        np.multiply(g[..., np.newaxis], aff.w_nb, out=tap)
+        dpos += position_gradient(corners, frac) * tap
+        del corners
+        g = aff.taps.scatter(tap) + g * one_minus_sum
+    del tap
 
     d_theta = np.zeros_like(aff.emb.g_theta)
     d_phi = np.zeros_like(aff.emb.g_phi)
-    if not detach_weights and state.steps:
+    if not detach_weights and state.inputs:
         q, k_self = aff.embeddings()
         d_e = q.shape[-1]
         d_f = aff.F.shape[-1]
@@ -136,9 +144,8 @@ def dspn_backward(grad_out, state: RefineState, detach_weights: bool = False) ->
         dlogit_self = -aff.w_self * t / aff.scale
         # a neighbour logit is the bilinear blend of its corner products
         # q . K[corner], whose position gradient is re-derived band by band
-        for band, (ddx, ddy) in aff.logit_position_gradients(frac):
-            dpos_x[:, band] += dlogit_nb[:, band] * ddx
-            dpos_y[:, band] += dlogit_nb[:, band] * ddy
+        for band, d_band in aff.logit_position_gradients(frac):
+            dpos[:, :, band] += dlogit_nb[:, band] * d_band
         # h = sum over taps and corners of dlogit * weight * F[corner], the
         # per-pixel feature-space gradient of the neighbour logits
         stack = edge_pad(aff.stack)
@@ -152,7 +159,7 @@ def dspn_backward(grad_out, state: RefineState, detach_weights: bool = False) ->
         d_theta = dq.T @ f_self
         d_phi = q.reshape(-1, d_e).T @ h + dk_self.T @ f_self
 
-    d_offsets = np.stack([dpos_x, dpos_y], axis=-1)
+    d_offsets = np.stack(dpos, axis=-1)
     if squeeze:
         return {"h0": g[0], "g_theta": d_theta, "g_phi": d_phi, "offsets": d_offsets[0]}
     return {"h0": g, "g_theta": d_theta, "g_phi": d_phi, "offsets": d_offsets}
@@ -325,23 +332,21 @@ def toy_fit(
 ):
     """Plain gradient descent on the refined-depth loss over a scene set.
 
-    Each update is exactly p <- p - lr * grad. Returns the fitted
-    parameters and the loss trace (initial loss followed by the loss after
-    each step). The seed only matters when drawing a default init.
+    Each update is exactly p <- p - lr * grad, from the parameters ``init``
+    (see :func:`dspn.cli.init_fit_params`). Returns the fitted parameters
+    and the loss trace (initial loss followed by the loss after each step).
+    ``seed`` has no effect: the fit draws nothing.
 
-    Raises EmptyGroundTruth when a scene has no valid ground-truth pixel,
-    and Diverged as soon as the loss stops being finite.
+    Raises InvalidConfig without initial parameters, EmptyGroundTruth when
+    a scene has no valid ground-truth pixel, and Diverged as soon as the
+    loss stops being finite.
     """
+    if init is None:
+        raise InvalidConfig("toy_fit needs initial parameters")
     if steps < 1:
         raise InvalidConfig(f"steps must be >= 1, got {steps}")
     if not (np.isfinite(lr) and lr >= 0.0):
         raise InvalidConfig(f"lr must be finite and >= 0, got {lr}")
-    if init is None:
-        d_f = scenes[0].features.channels
-        init = FitParams(
-            emb=EmbeddingParams.init(d_f, d_f, seed=seed),
-            estimator=OffsetEstimatorParams.init(d_f, seed=seed + 1),
-        )
     weight = (weights or LossWeights()).refined
     kernel_size = init.estimator.kernel_size
 

@@ -266,22 +266,24 @@ class Taps:
         return (0, 1, self.stack_shape[2] + 2, self.stack_shape[2] + 3)
 
     def lerp(self, corners, out: np.ndarray | None = None) -> np.ndarray:
-        """Bilinear blend of four scalar corner reads (no clamping)."""
-        out = np.multiply(self.weights[0], corners[0], out=out)
-        term = np.empty_like(out)
-        for w, v in zip(self.weights[1:], corners[1:]):
-            out += np.multiply(w, v, out=term)
-        return out
+        """Bilinear blend of four scalar corner reads (no clamping): one
+        contraction over the corner axis, which sums the four products in
+        corner order, bit for bit ``w0*c0 + w1*c1 + w2*c2 + w3*c3``."""
+        return np.einsum("c...,c...->...", self.weights, corners, out=out)
 
-    def sample(self, padded: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Bilinear samples of an edge-padded (S, h+2, w+2) stack, clamped
-        into the hull of their four corners so the convex-combination bound
-        holds exactly, not just to roundoff."""
-        corners = self.corners(padded)
+    def blend(self, corners: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Bilinear samples from the four (4, ...) corner reads of these
+        taps, clamped into the hull of those corners so the
+        convex-combination bound holds exactly, not just to roundoff."""
         out = self.lerp(corners, out=out)
         # np.clip with array bounds is several times slower than these two
         np.maximum(out, corners.min(axis=0), out=out)
         return np.minimum(out, corners.max(axis=0), out=out)
+
+    def sample(self, padded: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Bilinear samples of an edge-padded (S, h+2, w+2) stack: the
+        :meth:`blend` of its :meth:`corners`."""
+        return self.blend(self.corners(padded), out=out)
 
     def scatter(self, grad: np.ndarray) -> np.ndarray:
         """Adjoint of :meth:`lerp` through :meth:`corners`: accumulate

@@ -348,8 +348,8 @@ class TestBands:
         arrays = {"w_nb": aff.w_nb, "w_self": aff.w_self, "out": state.out}
         for name in ("index", "weights"):
             arrays["taps." + name] = getattr(aff.taps, name)
-        for i, rec in enumerate(state.steps):
-            arrays[f"h_in{i}"], arrays[f"h_nb{i}"] = rec.h_in, rec.h_nb
+        for i, h_in in enumerate(state.inputs):
+            arrays[f"h_in{i}"] = h_in
         for name, g in dspn_backward(rng.standard_normal((s, h, w)), state).items():
             arrays["d_" + name] = g
         return arrays

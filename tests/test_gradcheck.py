@@ -219,6 +219,11 @@ class TestToyFit:
             estimator=OffsetEstimatorParams.init(4, hidden_channels=4, kernel_size=3, seed=seed),
         )
 
+    def test_missing_init_rejected(self, scenes):
+        # the fitter draws no parameters of its own
+        with pytest.raises(InvalidConfig):
+            toy_fit(scenes, None, lr=0.1, steps=1)
+
     def test_zero_steps_rejected(self, scenes):
         with pytest.raises(InvalidConfig):
             toy_fit(scenes, self._init(scenes), lr=0.1, steps=0)

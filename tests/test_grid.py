@@ -139,6 +139,33 @@ def test_taps_scatter_is_adjoint_of_lerp(case):
     assert abs(lhs - rhs) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_taps_lerp_is_the_left_to_right_sum_bit_for_bit(seed):
+    # the propagation step samples through lerp band by band and the
+    # backward re-blends the same corners whole-map, so the blend's bits
+    # must not depend on the call: any reordered or fused (FMA) sum of the
+    # four products differs from this one on some of the taps
+    rng = np.random.default_rng(seed)
+    s, h, w, n = 2, 9, 11, 8
+    px = rng.integers(-2, w + 1, (s, h, w, n)) + rng.uniform(0.01, 0.99, (s, h, w, n))
+    py = rng.integers(-2, h + 1, (s, h, w, n)) + rng.uniform(0.01, 0.99, (s, h, w, n))
+    taps = Taps.at(px, py, w, h)
+    padded = edge_pad(rng.uniform(-5.0, 5.0, (s, h, w)) * 10.0 ** rng.uniform(-3, 3, (s, h, w)))
+
+    def left_to_right(part, c):
+        wt = part.weights
+        return wt[0] * c[0] + wt[1] * c[1] + wt[2] * c[2] + wt[3] * c[3]
+
+    corners = taps.corners(padded)
+    assert np.array_equal(taps.lerp(corners), left_to_right(taps, corners))
+    for band in (slice(0, 4), slice(4, 9), slice(3, 4)):
+        part = taps.rows(band)
+        c = part.corners(padded)
+        out = np.empty(part.index.shape)
+        assert part.lerp(c, out=out) is out
+        assert np.array_equal(out, left_to_right(part, c)), band
+
+
 # H = 1 or W = 1 folds both pad rows (or columns) onto one edge row (column)
 @settings(max_examples=80, deadline=None)
 @given(stacks, st.sampled_from([(), (3,)]))
