@@ -29,7 +29,7 @@ from .gradcheck import (
     make_gradcheck_instance,
     toy_fit,
 )
-from .grid import Grid
+from .grid import Grid, count, single_channel
 from .io import read_grid, write_grd
 from .metrics import LossWeights, eval_metrics, valid_gt
 from .synth import Scene, SceneSpec, SparseSpec, build_scene, prepare_scene, suite_seeds
@@ -45,9 +45,10 @@ class TrainConfig:
     iters: int = 6
 
     def __post_init__(self):
-        for name in ("steps", "lr", "iters"):
-            if getattr(self, name) < 0:
-                raise InvalidConfig(f"train.{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("steps", "iters"):
+            count(getattr(self, name), f"train.{name}")
+        if self.lr < 0:
+            raise InvalidConfig(f"train.lr must be >= 0, got {self.lr}")
 
 
 @dataclass
@@ -97,8 +98,7 @@ class RunConfig:
         ConfidenceConfig(self.gamma)
         for name, low in (("iters", 0), ("seed", 0), ("num_scenes", 1), ("feature_channels", 1),
                           ("embed_dim", 1), ("hidden_channels", 1), ("gradcheck_instances", 1)):
-            if getattr(self, name) < low:
-                raise InvalidConfig(f"{name} must be >= {low}, got {getattr(self, name)}")
+            count(getattr(self, name), name, low)
         if not (np.isfinite(self.gradcheck_tol) and self.gradcheck_tol >= 0.0):
             raise InvalidConfig(f"gradcheck_tol must be finite and >= 0, got {self.gradcheck_tol}")
         if not self.gradcheck_eps > 0.0:
@@ -309,7 +309,7 @@ def run_generate(cfg: RunConfig) -> int:
 
 def _scene_from_inputs(cfg: RunConfig) -> Scene:
     ds = read_grid(cfg.inputs.sparse)
-    m = Grid((ds.channel(0) > 0.0).astype(np.float64))
+    m = Grid((single_channel(ds, "sparse map") > 0.0).astype(np.float64))
     dstar = read_grid(cfg.inputs.gt) if cfg.inputs.gt else None
     return build_scene(dstar, ds, m, cfg.feature_channels, ConfidenceConfig(cfg.gamma))
 
@@ -330,7 +330,7 @@ def run_complete(cfg: RunConfig) -> int:
     write_grd(refined, out / "refined.grd")
     if have_gt:
         # missing gt pixels carry no error
-        err = Grid(np.where(valid, np.abs(refined.channel(0) - scene.dstar.channel(0)), 0.0))
+        err = Grid(np.where(valid, np.abs(single_channel(refined) - single_channel(scene.dstar)), 0.0))
         write_grd(err, out / "errmap.grd")
         print(f"refined + error map written to {out}")
     else:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, ShapeMismatch
-from .grid import Grid, binary_mask, same_shape, unit_confidence
+from .errors import InvalidConfig
+from .grid import Grid, binary_mask, check_same_shape, single_channel, unit_confidence
 
 
 @dataclass
@@ -28,10 +28,9 @@ class ConfidenceConfig:
 
 def confidence_target(dstar: Grid, ds: Grid, m: Grid, cfg: ConfidenceConfig) -> Grid:
     """Ground-truth confidence: m * exp(-|D* - Ds| / gamma), zero off-mask."""
-    if not (same_shape(dstar, ds) and same_shape(dstar, m)):
-        raise ShapeMismatch("confidence_target operands must share one shape")
+    check_same_shape(ground_truth=dstar, sparse_map=ds, mask=m)
     mask = binary_mask(m)
-    resid = np.abs(dstar.channel(0) - ds.channel(0))
+    resid = np.abs(single_channel(dstar, "ground truth") - single_channel(ds, "sparse map"))
     return Grid(mask * np.exp(-resid / cfg.gamma))
 
 
@@ -41,10 +40,9 @@ def soft_replace(H: Grid, Hs: Grid, m: Grid, M: Grid) -> Grid:
     With M == 1 everywhere this reduces bit-exactly to hard replacement;
     the output always lies between H and Hs per pixel.
     """
-    if not (same_shape(H, Hs) and same_shape(H, m) and same_shape(H, M)):
-        raise ShapeMismatch("soft_replace operands must share one shape")
-    a = (binary_mask(m) * unit_confidence(M))[:, :, np.newaxis]
-    return Grid((1.0 - a) * H.data + a * Hs.data)
+    check_same_shape(H=H, Hs=Hs, m=m, M=M)
+    a = binary_mask(m) * unit_confidence(M)
+    return Grid((1.0 - a) * single_channel(H) + a * single_channel(Hs))
 
 
 def heuristic_confidence(
@@ -74,14 +72,13 @@ def heuristic_confidence(
     with no neighbours at all keeps full confidence, since there is no
     evidence against it. Invalid pixels get 0.
     """
-    if not same_shape(ds, m) or (coarse is not None and not same_shape(ds, coarse)):
-        raise ShapeMismatch("sparse map, mask and coarse map must share one shape")
+    check_same_shape(sparse_map=ds, mask=m, coarse_map=coarse)
     mask = binary_mask(m)
-    values = ds.channel(0)
+    values = single_channel(ds, "sparse map")
     h, w = values.shape
     gmag = None
     if coarse is not None:
-        pad = np.pad(coarse.channel(0), 1, mode="edge")
+        pad = np.pad(single_channel(coarse, "coarse map"), 1, mode="edge")
         gmag = (
             np.abs(pad[1:-1, 2:] - pad[1:-1, :-2]) + np.abs(pad[2:, 1:-1] - pad[:-2, 1:-1])
         ) / 2.0

@@ -13,19 +13,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidAffinity, InvalidConfig, ShapeMismatch
-from .grid import Grid, binary_mask, same_shape
+from .grid import Grid, binary_mask, check_same_shape, count, single_channel
 
 
-def check_kernel_size(kernel_size: int) -> None:
-    """Kernel sizes must be odd and at least 3, so the window has a center pixel."""
-    if kernel_size < 3 or kernel_size % 2 == 0:
-        raise InvalidConfig(f"kernel size must be odd and >= 3, got {kernel_size}")
+def check_kernel_size(kernel_size) -> int:
+    """The kernel size as an int, odd and >= 3 so the window has a center pixel."""
+    kernel_size = count(kernel_size, "kernel size", 3)
+    if kernel_size % 2 == 0:
+        raise InvalidConfig(f"kernel size must be odd, got {kernel_size}")
+    return kernel_size
 
 
 def neighbor_offsets(kernel_size: int) -> np.ndarray:
     """(k*k-1, 2) integer (dx, dy) offsets in raster order, center excluded."""
-    check_kernel_size(kernel_size)
-    r = kernel_size // 2
+    r = check_kernel_size(kernel_size) // 2
     offs = [
         (dx, dy)
         for dy in range(-r, r + 1)
@@ -46,9 +47,8 @@ class AffinityStencilField:
     __slots__ = ("kernel_size", "raw", "norm")
 
     def __init__(self, kernel_size: int, raw):
-        check_kernel_size(kernel_size)
+        n = check_kernel_size(kernel_size) ** 2 - 1
         arr = np.array(raw, dtype=np.float64)
-        n = kernel_size * kernel_size - 1
         if arr.ndim != 3 or arr.shape[2] != n:
             raise InvalidAffinity(f"expected stencil shape (h, w, {n}), got {arr.shape}")
         self.kernel_size = kernel_size
@@ -56,9 +56,8 @@ class AffinityStencilField:
         self.norm = normalize_stencil(arr)
 
     @classmethod
-    def uniform(cls, width: int, height: int, kernel_size: int = 3, value: float = 1.0) -> "AffinityStencilField":
-        n = kernel_size * kernel_size - 1
-        return cls(kernel_size, np.full((height, width, n), float(value)))
+    def uniform(cls, width: int, height: int, kernel_size: int = 3) -> "AffinityStencilField":
+        return cls(kernel_size, np.ones((height, width, check_kernel_size(kernel_size) ** 2 - 1)))
 
 
 @dataclass
@@ -103,14 +102,10 @@ def cspn_step(H: Grid, stencils: AffinityStencilField) -> Grid:
     all-zero-stencil case bit-identical to the input and makes the maximum
     principle for nonnegative stencils robust.
     """
-    if H.channels != 1:
-        raise ShapeMismatch(f"propagation expects a single-channel grid, got {H.channels} channels")
-    h, w = H.height, H.width
+    arr = single_channel(H, "propagated map")
+    h, w = arr.shape
     if stencils.raw.shape[:2] != (h, w):
-        raise ShapeMismatch(
-            f"stencil field {stencils.raw.shape[:2]} does not match grid {(h, w)}"
-        )
-    arr = H.channel(0)
+        raise ShapeMismatch(f"stencil field {stencils.raw.shape[:2]} does not match grid {(h, w)}")
     r = stencils.kernel_size // 2
     padded = np.pad(arr, r, mode="edge")
     offs = neighbor_offsets(stencils.kernel_size)
@@ -122,18 +117,13 @@ def cspn_step(H: Grid, stencils: AffinityStencilField) -> Grid:
 
 def hard_replace(H: Grid, Hs: Grid, m: Grid) -> Grid:
     """Overwrite propagated values with sparse measurements where m == 1."""
-    if not (same_shape(H, Hs) and same_shape(H, m)):
-        raise ShapeMismatch("hard_replace operands must share one shape")
-    mask = binary_mask(m)
-    out = np.where(mask[:, :, np.newaxis] == 1.0, Hs.data, H.data)
-    return Grid(out)
+    check_same_shape(H=H, Hs=Hs, m=m)
+    return Grid(np.where(binary_mask(m) == 1.0, single_channel(Hs), single_channel(H)))
 
 
 def cspn_refine(D0: Grid, Ds: Grid, m: Grid, stencils: AffinityStencilField, iters: int) -> Grid:
     """Iterate (step, replace) from D0. iters == 0 returns D0 unchanged."""
-    if iters < 0:
-        raise InvalidConfig(f"iteration count must be >= 0, got {iters}")
     current = D0
-    for _ in range(iters):
+    for _ in range(count(iters, "iteration count")):
         current = hard_replace(cspn_step(current, stencils), Ds, m)
     return current

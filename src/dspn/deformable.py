@@ -44,18 +44,21 @@ from typing import Callable
 import numpy as np
 
 from .cspn import check_kernel_size, neighbor_offsets
-from .errors import InvalidConfig, InvalidFeature, ShapeMismatch
+from .errors import InvalidConfig, ShapeMismatch
 from .grid import (
     ContinuousPos,
     Grid,
     Taps,
     binary_mask,
-    check_positions,
+    check_feature_channels,
+    check_same_shape,
+    count,
     edge_fold,
     edge_pad,
     pixel_index,
     position_gradient,
-    same_shape,
+    sample_positions,
+    single_channel,
     unit_confidence,
 )
 
@@ -70,9 +73,8 @@ class OffsetField:
     __slots__ = ("kernel_size", "delta")
 
     def __init__(self, kernel_size: int, delta):
+        n = check_kernel_size(kernel_size) ** 2 - 1
         arr = np.asarray(delta, dtype=np.float64)
-        n = kernel_size * kernel_size - 1
-        check_kernel_size(kernel_size)
         if arr.ndim != 4 or arr.shape[2] != n or arr.shape[3] != 2:
             raise ShapeMismatch(f"expected offsets of shape (h, w, {n}, 2), got {arr.shape}")
         if not np.isfinite(arr).all():
@@ -82,8 +84,7 @@ class OffsetField:
 
     @classmethod
     def zeros(cls, width: int, height: int, kernel_size: int = 3) -> "OffsetField":
-        n = kernel_size * kernel_size - 1
-        return cls(kernel_size, np.zeros((height, width, n, 2)))
+        return cls(kernel_size, np.zeros((height, width, check_kernel_size(kernel_size) ** 2 - 1, 2)))
 
 
 EMBED_INIT_SCALE = 0.5  # diagonal of the embeddings' initial identity
@@ -164,7 +165,7 @@ class OffsetEstimatorParams:
         self.w3 = np.asarray(w3, dtype=np.float64)
         self.b3 = np.asarray(b3, dtype=np.float64)
         self.kernel_size = kernel_size
-        n_out = 2 * (kernel_size * kernel_size - 1)
+        n_out = 2 * (check_kernel_size(kernel_size) ** 2 - 1)
         shapes_ok = (
             self.w1.ndim == 4
             and self.w1.shape[2:] == (3, 3)
@@ -194,12 +195,12 @@ class OffsetEstimatorParams:
     def init(
         cls,
         feature_channels: int,
-        hidden_channels: int = 16,
+        hidden_channels: int,
         kernel_size: int = 3,
         seed: int = 0,
     ) -> "OffsetEstimatorParams":
         rng = np.random.default_rng(seed)
-        n_out = 2 * (kernel_size * kernel_size - 1)
+        n_out = 2 * (check_kernel_size(kernel_size) ** 2 - 1)
 
         def he(c_out, c_in):
             return rng.standard_normal((c_out, c_in, 3, 3)) * np.sqrt(2.0 / (9.0 * c_in))
@@ -342,10 +343,7 @@ def offset_estimator_backward(d_delta: np.ndarray, cache: EstimatorCache, params
 
 def offset_estimator(F: Grid, params: OffsetEstimatorParams) -> OffsetField:
     """Run the three-layer estimator over a feature grid."""
-    if F.channels != params.feature_channels:
-        raise ShapeMismatch(
-            f"estimator expects {params.feature_channels}-channel features, got {F.channels}"
-        )
+    check_feature_channels(F, params)
     delta, _ = offset_estimator_forward(F.data, params)
     return OffsetField(params.kernel_size, delta)
 
@@ -361,9 +359,7 @@ def deformed_neighborhood(x_i, kernel_size: int, offsets: OffsetField) -> list:
     Positions may be fractional and out of bounds; sampling clamps later.
     """
     if kernel_size != offsets.kernel_size:
-        raise ShapeMismatch(
-            f"kernel size {kernel_size} does not match offset field ({offsets.kernel_size})"
-        )
+        raise ShapeMismatch(f"kernel size {kernel_size} does not match offset field ({offsets.kernel_size})")
     x, y = pixel_index(x_i, offsets.delta.shape[1], offsets.delta.shape[0])
     pos_x, pos_y = _displaced_positions(x, y, offsets.delta[y, x], kernel_size)
     return [ContinuousPos(px, py) for px, py in zip(pos_x, pos_y)]
@@ -372,16 +368,12 @@ def deformed_neighborhood(x_i, kernel_size: int, offsets: OffsetField) -> list:
 def compute_affinity(F: Grid, emb: EmbeddingParams, x_i, nbrs) -> AffinityWeights:
     """Softmax weights for one pixel and its neighbours: the batched affinity
     of a one-pixel map (see :func:`_affinity_at`)."""
-    if F.channels != emb.feature_channels:
-        raise ShapeMismatch(f"features have {F.channels} channels, embedding expects {emb.feature_channels}")
-    if not np.isfinite(F.data).all():
-        raise InvalidFeature("feature grid contains NaN or Inf")
+    check_feature_channels(F, emb)
     x, y = pixel_index(x_i, F.width, F.height)
-    pos = np.array([(float(p[0]), float(p[1])) for p in nbrs], dtype=np.float64).reshape(1, 1, 1, -1, 2)
-    check_positions(pos[..., 0], pos[..., 1])
+    px, py = (p.reshape(1, 1, 1, -1) for p in sample_positions(nbrs))
     aff = _affinity_at(
         F.data[np.newaxis], F.data[np.newaxis, y : y + 1, x : x + 1],
-        lambda band: (pos[:, band, ..., 0], pos[:, band, ..., 1]), pos.shape[3], emb,
+        lambda band: (px[:, band], py[:, band]), px.shape[3], emb,
     )
     return AffinityWeights(neighbor_weights=aff.w_nb[0, 0, 0], self_weight=float(aff.w_self[0, 0, 0]))
 
@@ -596,25 +588,21 @@ def refine_forward_batched(
     )
 
 
-def _check_propagation_inputs(H: Grid, F: Grid, offsets: OffsetField, emb: EmbeddingParams):
-    if H.channels != 1:
-        raise ShapeMismatch(f"propagated map must be single-channel, got {H.channels}")
-    if (F.height, F.width) != (H.height, H.width):
-        raise ShapeMismatch("feature grid does not match the propagated map")
-    if F.channels != emb.feature_channels:
-        raise ShapeMismatch(f"features have {F.channels} channels, embedding expects {emb.feature_channels}")
-    n = offsets.kernel_size * offsets.kernel_size - 1
-    if offsets.delta.shape != (H.height, H.width, n, 2):
-        raise ShapeMismatch(f"offset field shape {offsets.delta.shape} does not match grid")
-    if not np.isfinite(F.data).all():
-        raise InvalidFeature("feature grid contains NaN or Inf")
+def _propagated_values(H: Grid, F: Grid, offsets: OffsetField, emb: EmbeddingParams) -> np.ndarray:
+    """The propagated map's values, once the map, features and offsets share one pixel grid."""
+    values = single_channel(H, "propagated map")
+    if not F.data.shape[:2] == offsets.delta.shape[:2] == values.shape:
+        raise ShapeMismatch(
+            f"features {F.data.shape}, offsets {offsets.delta.shape} and map {values.shape} differ in (h, w)")
+    check_feature_channels(F, emb)
+    return values
 
 
 def dspn_step(H: Grid, F: Grid, offsets: OffsetField, emb: EmbeddingParams) -> Grid:
     """One full deformable propagation step over a grid."""
-    _check_propagation_inputs(H, F, offsets, emb)
+    values = _propagated_values(H, F, offsets, emb)
     aff = affinity_forward(F.data, offsets.delta, emb, offsets.kernel_size)
-    return Grid(dspn_step_forward(H.channel(0)[np.newaxis], aff)[0])
+    return Grid(dspn_step_forward(values[np.newaxis], aff)[0])
 
 
 def dspn_refine_forward(
@@ -632,23 +620,15 @@ def dspn_refine_forward(
 
     Returns the refined grid and the forward state for the backward pass.
     """
-    if iters < 0:
-        raise InvalidConfig(f"iteration count must be >= 0, got {iters}")
-    _check_propagation_inputs(D0, F, offsets, emb)
-    for g in (Ds, m, M):
-        if not same_shape(D0, g):
-            raise ShapeMismatch("refine operands must share one shape")
-    mask = binary_mask(m)
-    conf = unit_confidence(M)
+    iters = count(iters, "iteration count")
+    values = _propagated_values(D0, F, offsets, emb)
+    check_same_shape(D0=D0, Ds=Ds, m=m, M=M)
+    mask, conf = binary_mask(m), unit_confidence(M)
 
     aff = affinity_forward(F.data, offsets.delta, emb, offsets.kernel_size)
     state = refine_forward_batched(
-        D0.channel(0)[np.newaxis],
-        Ds.channel(0)[np.newaxis],
-        (mask * conf)[np.newaxis],
-        aff,
-        iters,
-        keep_records=keep_records,
+        values[np.newaxis], single_channel(Ds, "sparse map")[np.newaxis], (mask * conf)[np.newaxis],
+        aff, iters, keep_records=keep_records,
     )
     return Grid(state.out[0]), state
 

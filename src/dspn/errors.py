@@ -11,11 +11,11 @@ class InvalidGrid(DspnError):
 
 
 class InvalidPosition(DspnError):
-    """Sampling position is non-finite, or a pixel index lies outside its grid."""
+    """Position is not a pair of finite reals, or a pixel not an integer pair in its grid."""
 
 
 class ShapeMismatch(DspnError):
-    """Operands do not agree in width/height/channels/kernel layout."""
+    """Operands disagree in width/height/channels/kernel layout, or a map is multi-channel."""
 
 
 class InvalidAffinity(DspnError):
@@ -26,12 +26,8 @@ class InvalidMask(DspnError):
     """Validity mask contains values other than 0 and 1."""
 
 
-class InvalidFeature(DspnError):
-    """Feature grid contains non-finite values."""
-
-
 class InvalidConfig(DspnError):
-    """A configuration value violates its documented range."""
+    """A configuration value or count is not whole or violates its documented range."""
 
 
 class InvalidConfidence(DspnError):

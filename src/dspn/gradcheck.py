@@ -26,7 +26,7 @@ from .deformable import (
     refine_forward_batched,
 )
 from .errors import Diverged, DspnError, InvalidConfig, InvalidState, NonFiniteLoss
-from .grid import Grid, edge_pad, fractions, position_gradient
+from .grid import Grid, count, edge_pad, fractions, position_gradient, single_channel
 from .metrics import LossWeights, valid_gt
 
 REL_ERR_FLOOR = 1e-8
@@ -222,7 +222,7 @@ def make_gradcheck_instance(
 def instance_params(inst: GradcheckInstance) -> dict:
     """The instance's parameters by group, keyed like ``dspn_backward``'s result."""
     return {
-        "h0": inst.d0.channel(0),
+        "h0": single_channel(inst.d0),
         "g_theta": inst.emb.g_theta,
         "g_phi": inst.emb.g_phi,
         "offsets": inst.offsets.delta,
@@ -237,7 +237,7 @@ def refine_loss(inst: GradcheckInstance, params: dict) -> float:
         EmbeddingParams(params["g_theta"], params["g_phi"]), inst.iters,
         keep_records=False,
     )
-    diff = refined.channel(0) - inst.target.channel(0)
+    diff = single_channel(refined) - single_channel(inst.target)
     return float(np.mean(diff * diff))
 
 
@@ -246,7 +246,7 @@ def analytic_refine_grads(inst: GradcheckInstance) -> dict:
         inst.d0, inst.ds, inst.m, inst.conf, inst.features,
         inst.offsets, inst.emb, inst.iters, keep_records=True,
     )
-    resid = refined.channel(0) - inst.target.channel(0)
+    resid = single_channel(refined) - single_channel(inst.target)
     return dspn_backward(2.0 * resid / resid.size, state)
 
 
@@ -300,20 +300,20 @@ def _fit_loss_and_grads(params: FitParams, scenes, iters: int, weight: float,
     grads = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
     for scene in scenes:
         valid = valid_gt(scene.dstar)
-        count = int(valid.sum())
+        n_valid = int(valid.sum())
         feats = scene.features.data[np.newaxis]
         delta, cache = offset_estimator_forward(feats, params.estimator)
         aff = affinity_forward_batched(feats, delta, params.emb, kernel_size)
         state = refine_forward_batched(
-            scene.d0.channel(0)[np.newaxis], scene.ds.channel(0)[np.newaxis],
-            (scene.m.channel(0) * scene.conf.channel(0))[np.newaxis],
+            single_channel(scene.d0)[np.newaxis], single_channel(scene.ds)[np.newaxis],
+            (single_channel(scene.m) * single_channel(scene.conf))[np.newaxis],
             aff, iters, keep_records=compute_grads,
         )
-        resid = np.where(valid, state.out - scene.dstar.channel(0), 0.0)
-        loss += weight * float((resid * resid).sum()) / count
+        resid = np.where(valid, state.out - single_channel(scene.dstar), 0.0)
+        loss += weight * float((resid * resid).sum()) / n_valid
         if not compute_grads:
             continue
-        upstream = weight * 2.0 * resid / count / len(scenes)
+        upstream = weight * 2.0 * resid / n_valid / len(scenes)
         scene_grads = dspn_backward(upstream, state)
         scene_grads.update(offset_estimator_backward(scene_grads["offsets"], cache, params.estimator))
         for name, g in grads.items():
@@ -343,8 +343,8 @@ def toy_fit(
     """
     if init is None:
         raise InvalidConfig("toy_fit needs initial parameters")
-    if steps < 1:
-        raise InvalidConfig(f"steps must be >= 1, got {steps}")
+    steps = count(steps, "steps", 1)
+    iters = count(iters, "iteration count")
     if not (np.isfinite(lr) and lr >= 0.0):
         raise InvalidConfig(f"lr must be finite and >= 0, got {lr}")
     weight = (weights or LossWeights()).refined

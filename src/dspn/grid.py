@@ -1,5 +1,5 @@
-"""Dense 2-D grid container, the mask and confidence checks on grids, and
-the bilinear taps type behind every continuous (sampled) read.
+"""Dense 2-D grid container, the one home of every operand rule, and the
+bilinear taps type behind every continuous (sampled) read.
 
 Coordinate convention, used everywhere in this package: ``x`` is the column
 index, ``y`` is the row index, origin at the top-left pixel. Grid data is
@@ -9,11 +9,12 @@ All arithmetic is 64-bit internally; file I/O may narrow to 32-bit.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidConfidence, InvalidGrid, InvalidMask, InvalidPosition, ShapeMismatch
+from .errors import InvalidConfidence, InvalidConfig, InvalidGrid, InvalidMask, InvalidPosition, ShapeMismatch
 
 
 class ContinuousPos(NamedTuple):
@@ -73,32 +74,81 @@ class Grid:
         return f"Grid(width={self.width}, height={self.height}, channels={self.channels})"
 
 
-def same_shape(a: Grid, b: Grid) -> bool:
-    return a.data.shape == b.data.shape
+def check_same_shape(**grids) -> None:
+    """Raise ShapeMismatch unless the grids given (None skipped) share one
+    shape; the message names each operand (underscores read as spaces)."""
+    given = {name.replace("_", " "): g for name, g in grids.items() if g is not None}
+    if len({g.data.shape for g in given.values()}) > 1:
+        sizes = ", ".join(f"{name} is {g.width}x{g.height}" + f"x{g.channels}" * (g.channels > 1)
+                          for name, g in given.items())
+        raise ShapeMismatch(f"operands must share one shape: {sizes}")
+
+
+def single_channel(g: Grid, name: str = "map") -> np.ndarray:
+    """The (h, w) values of a map, which must have one channel: the one read
+    behind every operator that takes a map."""
+    if g.channels != 1:
+        raise ShapeMismatch(f"{name} must be single-channel, got {g.channels} channels")
+    return g.data[:, :, 0]
+
+
+def check_feature_channels(F: Grid, params) -> None:
+    """Raise ShapeMismatch unless the features have the channel count of
+    ``params`` (embedding or estimator parameters)."""
+    if F.channels != params.feature_channels:
+        raise ShapeMismatch(f"features have {F.channels} channels, parameters expect {params.feature_channels}")
+
+
+def count(value, name: str, low: int = 0) -> int:
+    """A whole number at least ``low``, as an int: Python and numpy integers
+    pass, as in :func:`operator.index`, and floats do not."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidConfig(f"{name} must be a whole number, got {value!r}") from None
+    if value < low:
+        raise InvalidConfig(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def binary_mask(m: Grid) -> np.ndarray:
-    """Channel 0 of a validity mask, which must hold only 0 and 1."""
-    mask = m.channel(0)
+    """The values of a validity mask, which must hold only 0 and 1."""
+    mask = single_channel(m, "mask")
     if not np.all((mask == 0.0) | (mask == 1.0)):
         raise InvalidMask("mask must contain only 0 and 1")
     return mask
 
 
 def pixel_index(x_i, width: int, height: int) -> tuple:
-    """Integer (x, y) of a pixel, which must lie inside a width x height grid."""
-    x, y = int(x_i[0]), int(x_i[1])
+    """(x, y) of a pixel, a pair of integers inside a width x height grid."""
+    try:
+        x, y = map(operator.index, x_i)
+    except (TypeError, ValueError):
+        raise InvalidPosition(f"a pixel is a pair of integers, got {x_i!r}") from None
     if not (0 <= x < width and 0 <= y < height):
         raise InvalidPosition(f"pixel ({x}, {y}) lies outside the {width}x{height} grid")
     return x, y
 
 
 def unit_confidence(M: Grid) -> np.ndarray:
-    """Channel 0 of a confidence grid, which must lie in [0, 1]."""
-    conf = M.channel(0)
+    """The values of a confidence map, which must lie in [0, 1]."""
+    conf = single_channel(M, "confidence")
     if conf.min() < 0.0 or conf.max() > 1.0:
         raise InvalidConfidence("confidence must lie in [0, 1]")
     return conf
+
+
+def sample_positions(points):
+    """(px, py), two (n,) float64 arrays, of n >= 0 sampling positions, each
+    a pair of finite reals: the one parser behind the per-position reads
+    (``bilinear_sample`` and the per-pixel affinity)."""
+    try:
+        pos = np.array([(x, y) for x, y in points], dtype=np.float64).reshape(-1, 2)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidPosition(f"positions must be (x, y) pairs of reals, got {points!r}") from None
+    if not np.isfinite(pos).all():
+        raise InvalidPosition(f"sampling positions must be finite, got {points!r}")
+    return pos[:, 0], pos[:, 1]
 
 
 def edge_pad(values: np.ndarray) -> np.ndarray:
@@ -124,16 +174,6 @@ def edge_fold(padded: np.ndarray) -> np.ndarray:
     padded[:, :, 1] += padded[:, :, 0]
     padded[:, :, -2] += padded[:, :, -1]
     return padded[:, 1:-1, 1:-1]
-
-
-def check_positions(px, py) -> None:
-    """Raise InvalidPosition unless every sampling position is finite: the
-    one check behind the per-position reads (``bilinear_sample`` and the
-    per-pixel affinity)."""
-    bad = ~(np.isfinite(px) & np.isfinite(py))
-    if bad.any():
-        i = np.flatnonzero(bad)[0]
-        raise InvalidPosition(f"non-finite position ({np.ravel(px)[i]}, {np.ravel(py)[i]})")
 
 
 def _fractions(px, py, x0, y0):
@@ -303,7 +343,5 @@ def bilinear_sample(g: Grid, p, c: int = 0) -> float:
     positions read the nearest edge pixel. The result always lies within
     [min, max] of the four contributing values.
     """
-    px, py = np.array([float(p[0])]), np.array([float(p[1])])
-    check_positions(px, py)
-    taps = Taps.at(px, py, g.width, g.height)
+    taps = Taps.at(*sample_positions([p]), g.width, g.height)
     return float(taps.sample(edge_pad(g.channel(c)[np.newaxis]))[0])

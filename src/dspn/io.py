@@ -19,7 +19,7 @@ import struct
 
 import numpy as np
 
-from .errors import CorruptFile, UnsupportedFormat
+from .errors import CorruptFile, InvalidGrid, UnsupportedFormat
 from .grid import Grid
 
 GRD_MAGIC = b"GRD1"
@@ -49,10 +49,10 @@ def read_grd(path) -> Grid:
             f"{path}: payload is {len(blob) - 16} bytes, header implies {expected}"
         )
     data = np.frombuffer(blob, dtype="<f4", offset=16).reshape(height, width, channels)
-    arr = data.astype(np.float64)
-    if not np.isfinite(arr).all():
-        raise CorruptFile(f"{path}: payload contains non-finite values")
-    return Grid(arr)
+    try:
+        return Grid(data.astype(np.float64))
+    except InvalidGrid as exc:  # the header fixes a non-empty 3-D shape: only non-finite data lands here
+        raise CorruptFile(f"{path}: payload contains non-finite values") from exc
 
 
 def write_pgm16(g: Grid, path, scale: float = DEPTH_SCALE) -> None:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGroundTruth, InvalidConfig, ShapeMismatch
-from .grid import Grid, same_shape
+from .errors import EmptyGroundTruth, InvalidConfig
+from .grid import Grid, check_same_shape, single_channel
 
 # metre floor applied to predictions before inversion; KITTI ground truth is
 # always positive so only predictions need it
@@ -45,19 +45,18 @@ def valid_gt(gt: Grid) -> np.ndarray:
 
     Raises EmptyGroundTruth when no pixel has any.
     """
-    valid = gt.channel(0) > 0.0
+    valid = single_channel(gt, "ground truth") > 0.0
     if not valid.any():
         raise EmptyGroundTruth("no pixels with positive ground truth")
     return valid
 
 
 def eval_metrics(pred: Grid, gt: Grid) -> MetricReport:
-    if not same_shape(pred, gt):
-        raise ShapeMismatch("prediction and ground truth must share one shape")
+    check_same_shape(prediction=pred, ground_truth=gt)
     valid = valid_gt(gt)
     count = int(valid.sum())
-    p = pred.channel(0)[valid]
-    g = gt.channel(0)[valid]
+    p = single_channel(pred, "prediction")[valid]
+    g = single_channel(gt, "ground truth")[valid]
     diff = p - g
     rmse = float(np.sqrt(np.mean(diff * diff)) * 1000.0)
     mae = float(np.mean(np.abs(diff)) * 1000.0)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confidence import ConfidenceConfig, heuristic_confidence
-from .errors import EmptySparse, InvalidGrid, InvalidSpec, ShapeMismatch
-from .grid import Grid, binary_mask, same_shape
+from .errors import EmptySparse, InvalidGrid, InvalidSpec
+from .grid import Grid, binary_mask, check_same_shape, single_channel
 
 SCENE_KINDS = ("plane", "step", "slope", "sphere-cap", "composite")
 
@@ -157,7 +157,7 @@ def sample_sparse(dstar: Grid, spec: SparseSpec, seed: int):
     base_noise = rng.standard_normal((h, w))
     outlier_pick = rng.random((h, w)) < spec.outlier_fraction
     outlier_noise = rng.standard_normal((h, w))
-    values = dstar.channel(0) + spec.noise_sigma * base_noise
+    values = single_channel(dstar, "ground truth") + spec.noise_sigma * base_noise
     values = values + np.where(outlier_pick, spec.outlier_sigma * outlier_noise, 0.0)
     values = np.maximum(values, MIN_SENSOR_DEPTH)
     mask = keep.astype(np.float64)
@@ -252,23 +252,23 @@ def box_blur3(values: np.ndarray) -> np.ndarray:
 
 def coarse_predict(ds: Grid, m: Grid) -> Grid:
     """Deterministic coarse-depth stand-in: nearest-valid fill, blurred twice."""
-    if not same_shape(ds, m):
-        raise ShapeMismatch("sparse map and mask must share one shape")
+    check_same_shape(sparse_map=ds, mask=m)
     mask = binary_mask(m)
     if not mask.any():
         raise EmptySparse("no valid sparse measurements")
-    filled = _nearest_valid_fill(ds.channel(0), mask)
+    filled = _nearest_valid_fill(single_channel(ds, "sparse map"), mask)
     return Grid(box_blur3(box_blur3(filled)))
 
 
-def build_features(d0: Grid, m: Grid, feature_channels: int = 16) -> Grid:
+def build_features(d0: Grid, m: Grid, feature_channels: int) -> Grid:
     """Hand-crafted feature stand-in, tiled to the requested channel count.
 
     Base channels: depth normalised to [0, 1] over its own range (0.5 when
     the range is degenerate), |d/dx|, |d/dy| (central differences with
     clamped borders), the mask, and x/width, y/height ramps.
     """
-    depth = d0.channel(0)
+    check_same_shape(coarse_map=d0, mask=m)
+    depth = single_channel(d0, "coarse map")
     h, w = depth.shape
     lo, hi = depth.min(), depth.max()
     norm = np.full((h, w), 0.5) if hi == lo else (depth - lo) / (hi - lo)
@@ -276,7 +276,7 @@ def build_features(d0: Grid, m: Grid, feature_channels: int = 16) -> Grid:
     gx = np.abs(padded[1:-1, 2:] - padded[1:-1, :-2]) / 2.0
     gy = np.abs(padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
-    base = np.stack([norm, gx, gy, m.channel(0), xs / w, ys / h], axis=-1)
+    base = np.stack([norm, gx, gy, single_channel(m, "mask"), xs / w, ys / h], axis=-1)
     reps = -(-feature_channels // base.shape[2])
     tiled = np.tile(base, (1, 1, reps))[:, :, :feature_channels]
     return Grid(tiled)
@@ -298,7 +298,7 @@ def build_scene(
     dstar: Grid | None,
     ds: Grid,
     m: Grid,
-    feature_channels: int = 16,
+    feature_channels: int,
     conf_cfg: ConfidenceConfig | None = None,
 ) -> Scene:
     """The front end: coarse depth, features and heuristic confidence for
@@ -306,15 +306,12 @@ def build_scene(
     (``dstar`` None) the coarse map stands in for it. Every input map must be
     single-channel, and no depth may be negative: 0 marks a missing pixel."""
     for name, g in (("ground truth", dstar), ("sparse map", ds), ("mask", m)):
-        if g is not None and g.channels != 1:
-            raise ShapeMismatch(f"{name} must be single-channel, got {g.channels} channels")
+        if g is not None:
+            single_channel(g, name)
     for name, g in (("ground truth", dstar), ("sparse map", ds)):
         if g is not None and g.data.min() < 0.0:
             raise InvalidGrid(f"{name} holds a negative depth ({g.data.min():g}); 0 marks a missing pixel")
-    if dstar is not None and (dstar.height, dstar.width) != (ds.height, ds.width):
-        raise ShapeMismatch(
-            f"ground truth is {dstar.width}x{dstar.height}, sparse map is {ds.width}x{ds.height}"
-        )
+    check_same_shape(ground_truth=dstar, sparse_map=ds)
     d0 = coarse_predict(ds, m)
     features = build_features(d0, m, feature_channels)
     conf = heuristic_confidence(ds, m, conf_cfg or ConfidenceConfig(), coarse=d0)
@@ -326,7 +323,7 @@ def prepare_scene(
     sparse_spec: SparseSpec,
     scene_seed: int,
     sparse_seed: int,
-    feature_channels: int = 16,
+    feature_channels: int,
     conf_cfg: ConfidenceConfig | None = None,
 ) -> Scene:
     dstar = gen_scene(scene_spec, scene_seed)

@@ -396,7 +396,7 @@ class TestEstimator:
         assert out.delta.shape == (5, 7, 8, 2)
 
     def test_channel_mismatch_rejected(self):
-        params = OffsetEstimatorParams.init(4, kernel_size=3, seed=3)
+        params = OffsetEstimatorParams.init(4, hidden_channels=16, kernel_size=3, seed=3)
         with pytest.raises(ShapeMismatch):
             offset_estimator(Grid.zeros(5, 5, channels=3), params)
 

@@ -301,7 +301,7 @@ class TestFeatures:
     def test_ground_truth_of_another_shape_rejected(self):
         ds, m = Grid.full(8, 8, 2.0), Grid.full(8, 8, 1.0)
         with pytest.raises(ShapeMismatch):
-            build_scene(Grid.full(8, 6, 2.0), ds, m)
+            build_scene(Grid.full(8, 6, 2.0), ds, m, feature_channels=16)
 
 
 def test_suite_specs_are_distinct_and_deterministic():
