@@ -32,7 +32,7 @@ from .gradcheck import (
 from .grid import Grid, count, single_channel
 from .io import read_grid, write_grd
 from .metrics import LossWeights, eval_metrics, valid_gt
-from .synth import Scene, SceneSpec, SparseSpec, build_scene, prepare_scene, suite_seeds
+from .synth import Scene, SceneSpec, SparseSpec, build_features, build_scene, prepare_scene, suite_seeds
 
 MODES = ("generate", "complete", "eval", "gradcheck", "ablate")
 REFINE_KINDS = ("none", "cspn", "dspn")
@@ -198,10 +198,7 @@ def fmt(v: float) -> str:
 def build_suite(cfg: RunConfig) -> list:
     conf_cfg = ConfidenceConfig(cfg.gamma)
     return [
-        prepare_scene(
-            cfg.scene, cfg.sparse, scene_seed, sparse_seed,
-            feature_channels=cfg.feature_channels, conf_cfg=conf_cfg,
-        )
+        prepare_scene(cfg.scene, cfg.sparse, scene_seed, sparse_seed, conf_cfg=conf_cfg)
         for scene_seed, sparse_seed in suite_seeds(cfg.num_scenes, base_seed=cfg.seed)
     ]
 
@@ -273,13 +270,14 @@ def refine_scene(
     conf = scene.conf
     if replacement == "hard":
         conf = Grid(np.ones((scene.d0.height, scene.d0.width)))
+    features = build_features(scene.d0, scene.m, params.feature_channels)
     if params.estimator.kernel_size == kernel_size:
-        offsets = offset_estimator(scene.features, params.estimator)
+        offsets = offset_estimator(features, params.estimator)
     else:
         # embeddings transfer across kernel sizes; offsets fall back to the
         # regular grid of the requested size
         offsets = OffsetField.zeros(scene.d0.width, scene.d0.height, kernel_size)
-    return dspn_refine(scene.d0, scene.ds, scene.m, conf, scene.features, offsets, params.emb, iters)
+    return dspn_refine(scene.d0, scene.ds, scene.m, conf, features, offsets, params.emb, iters)
 
 
 def evaluate_suite(scenes, method, iters, kernel_size, params=None, replacement="soft"):
@@ -311,7 +309,7 @@ def _scene_from_inputs(cfg: RunConfig) -> Scene:
     ds = read_grid(cfg.inputs.sparse)
     m = Grid((single_channel(ds, "sparse map") > 0.0).astype(np.float64))
     dstar = read_grid(cfg.inputs.gt) if cfg.inputs.gt else None
-    return build_scene(dstar, ds, m, cfg.feature_channels, ConfidenceConfig(cfg.gamma))
+    return build_scene(dstar, ds, m, ConfidenceConfig(cfg.gamma))
 
 
 def run_complete(cfg: RunConfig) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .grid import Grid, binary_mask, check_same_shape, single_channel, unit_confidence
+from .grid import Grid, binary_mask, check_same_shape, count, single_channel, unit_confidence
 
 
 @dataclass
@@ -60,10 +60,11 @@ def heuristic_confidence(
     Each measurement is scored by how well it agrees with its best-matching
     nearby measurement: M = exp(-max(0, min_j(|Ds - Ds_j| - slack_j)) / gamma).
     The window grows from 3x3 until it holds ``min_neighbors`` other valid
-    pixels (or hits ``max_radius``). Best-match agreement rather than the
-    window median keeps measurements near depth discontinuities trusted as
-    long as one same-surface neighbour exists, while an outlier disagrees
-    with every neighbour.
+    pixels (or hits ``max_radius``, at least 1; ``min_neighbors`` 0 keeps
+    every window 3x3). Best-match agreement rather than the window median
+    keeps measurements near depth discontinuities trusted as long as one
+    same-surface neighbour exists, while an outlier disagrees with every
+    neighbour.
 
     The per-neighbour slack absorbs sensor noise plus, when a coarse depth
     map is supplied, the disagreement explained by local scene structure
@@ -72,6 +73,8 @@ def heuristic_confidence(
     with no neighbours at all keeps full confidence, since there is no
     evidence against it. Invalid pixels get 0.
     """
+    min_neighbors = count(min_neighbors, "min_neighbors")
+    max_radius = count(max_radius, "max_radius", 1)
     check_same_shape(sparse_map=ds, mask=m, coarse_map=coarse)
     mask = binary_mask(m)
     values = single_channel(ds, "sparse map")
@@ -90,15 +93,15 @@ def heuristic_confidence(
     integral = np.zeros((h + 1, w + 1), dtype=np.int64)
     integral[1:, 1:] = mask.astype(np.int64).cumsum(axis=0).cumsum(axis=1)
     radius = np.full(ys.size, max_radius)
-    count = np.zeros(ys.size, dtype=np.int64)
+    found = np.zeros(ys.size, dtype=np.int64)
     for r in range(max_radius, 0, -1):
         y0, y1 = np.maximum(ys - r, 0), np.minimum(ys + r + 1, h)
         x0, x1 = np.maximum(xs - r, 0), np.minimum(xs + r + 1, w)
         c = integral[y1, x1] - integral[y0, x1] - integral[y1, x0] + integral[y0, x0] - 1
         stop = (c >= min_neighbors) | (r == max_radius)
         radius[stop] = r
-        count[stop] = c[stop]
-    isolated = count == 0
+        found[stop] = c[stop]
+    isolated = found == 0
     out[ys[isolated], xs[isolated]] = 1.0
 
     # best-match score: a running minimum over the window offsets, ring by
@@ -106,11 +109,10 @@ def heuristic_confidence(
     # are a prefix
     order = np.argsort(-radius[~isolated], kind="stable")
     ys, xs, radius = ys[~isolated][order], xs[~isolated][order], radius[~isolated][order]
-    pad = max(max_radius, 0)
-    padded_mask = np.pad(mask, pad).ravel()
-    padded_values = np.pad(values, pad).ravel()
-    stride = w + 2 * pad
-    centre = (ys + pad) * stride + xs + pad
+    padded_mask = np.pad(mask, max_radius).ravel()
+    padded_values = np.pad(values, max_radius).ravel()
+    stride = w + 2 * max_radius
+    centre = (ys + max_radius) * stride + xs + max_radius
     own = values[ys, xs]
     grad_slack = None if gmag is None else gradient_slack * gmag[ys, xs]
     score = np.full(ys.size, np.inf)

@@ -113,10 +113,6 @@ class EmbeddingParams:
             raise InvalidConfig("embedding matrices contain NaN or Inf")
 
     @property
-    def embed_dim(self) -> int:
-        return self.g_theta.shape[0]
-
-    @property
     def feature_channels(self) -> int:
         return self.g_theta.shape[1]
 
@@ -130,6 +126,8 @@ class EmbeddingParams:
         coarse-map features are blurry, so a strong initial similarity
         mostly amplifies their artifacts.
         """
+        embed_dim = count(embed_dim, "embed_dim", 1)
+        feature_channels = count(feature_channels, "feature_channels", 1)
         rng = np.random.default_rng(seed)
         base = np.zeros((embed_dim, feature_channels))
         d = min(embed_dim, feature_channels)
@@ -199,6 +197,8 @@ class OffsetEstimatorParams:
         kernel_size: int = 3,
         seed: int = 0,
     ) -> "OffsetEstimatorParams":
+        feature_channels = count(feature_channels, "feature_channels", 1)
+        hidden_channels = count(hidden_channels, "hidden_channels", 1)
         rng = np.random.default_rng(seed)
         n_out = 2 * (check_kernel_size(kernel_size) ** 2 - 1)
 

@@ -25,9 +25,10 @@ from .deformable import (
     offset_estimator_forward,
     refine_forward_batched,
 )
-from .errors import Diverged, DspnError, InvalidConfig, InvalidState, NonFiniteLoss
+from .errors import Diverged, DspnError, InvalidConfig, InvalidState, NonFiniteLoss, ShapeMismatch
 from .grid import Grid, count, edge_pad, fractions, position_gradient, single_channel
 from .metrics import LossWeights, valid_gt
+from .synth import build_features
 
 REL_ERR_FLOOR = 1e-8
 
@@ -268,10 +269,21 @@ ESTIMATOR_KEYS = ("w1", "b1", "w2", "b2", "w3", "b3")
 class FitParams:
     """Trainable state for the toy fitter: the embeddings and the
     three-layer estimator that computes per-scene offsets from features.
-    Its arrays are named g_theta, g_phi and ESTIMATOR_KEYS."""
+    Its arrays are named g_theta, g_phi and ESTIMATOR_KEYS. Both groups read
+    the same features, so they must agree on their channel count."""
 
     emb: EmbeddingParams
     estimator: OffsetEstimatorParams
+
+    def __post_init__(self):
+        if self.emb.feature_channels != self.estimator.feature_channels:
+            raise ShapeMismatch(f"embeddings read {self.emb.feature_channels} feature channels, "
+                                f"the offset estimator {self.estimator.feature_channels}")
+
+    @property
+    def feature_channels(self) -> int:
+        """The channel count of the features both groups read."""
+        return self.emb.feature_channels
 
     def copy(self) -> "FitParams":
         return FitParams(
@@ -301,7 +313,7 @@ def _fit_loss_and_grads(params: FitParams, scenes, iters: int, weight: float,
     for scene in scenes:
         valid = valid_gt(scene.dstar)
         n_valid = int(valid.sum())
-        feats = scene.features.data[np.newaxis]
+        feats = build_features(scene.d0, scene.m, params.feature_channels).data[np.newaxis]
         delta, cache = offset_estimator_forward(feats, params.estimator)
         aff = affinity_forward_batched(feats, delta, params.emb, kernel_size)
         state = refine_forward_batched(

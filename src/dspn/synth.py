@@ -17,7 +17,7 @@ import numpy as np
 
 from .confidence import ConfidenceConfig, heuristic_confidence
 from .errors import EmptySparse, InvalidGrid, InvalidSpec
-from .grid import Grid, binary_mask, check_same_shape, single_channel
+from .grid import Grid, binary_mask, check_same_shape, count, single_channel
 
 SCENE_KINDS = ("plane", "step", "slope", "sphere-cap", "composite")
 
@@ -267,6 +267,7 @@ def build_features(d0: Grid, m: Grid, feature_channels: int) -> Grid:
     the range is degenerate), |d/dx|, |d/dy| (central differences with
     clamped borders), the mask, and x/width, y/height ramps.
     """
+    feature_channels = count(feature_channels, "feature_channels", 1)
     check_same_shape(coarse_map=d0, mask=m)
     depth = single_channel(d0, "coarse map")
     h, w = depth.shape
@@ -284,13 +285,12 @@ def build_features(d0: Grid, m: Grid, feature_channels: int) -> Grid:
 
 @dataclass
 class Scene:
-    """A fully prepared synthetic depth-completion problem."""
+    """A prepared depth-completion problem; its readers form the features."""
 
     dstar: Grid
     ds: Grid
     m: Grid
     d0: Grid
-    features: Grid
     conf: Grid  # heuristic confidence for soft replacement
 
 
@@ -298,11 +298,10 @@ def build_scene(
     dstar: Grid | None,
     ds: Grid,
     m: Grid,
-    feature_channels: int,
     conf_cfg: ConfidenceConfig | None = None,
 ) -> Scene:
-    """The front end: coarse depth, features and heuristic confidence for
-    sparse measurements ``ds`` with mask ``m``. Without ground truth
+    """The front end: coarse depth and heuristic confidence for sparse
+    measurements ``ds`` with mask ``m``. Without ground truth
     (``dstar`` None) the coarse map stands in for it. Every input map must be
     single-channel, and no depth may be negative: 0 marks a missing pixel."""
     for name, g in (("ground truth", dstar), ("sparse map", ds), ("mask", m)):
@@ -313,9 +312,8 @@ def build_scene(
             raise InvalidGrid(f"{name} holds a negative depth ({g.data.min():g}); 0 marks a missing pixel")
     check_same_shape(ground_truth=dstar, sparse_map=ds)
     d0 = coarse_predict(ds, m)
-    features = build_features(d0, m, feature_channels)
     conf = heuristic_confidence(ds, m, conf_cfg or ConfidenceConfig(), coarse=d0)
-    return Scene(dstar=d0 if dstar is None else dstar, ds=ds, m=m, d0=d0, features=features, conf=conf)
+    return Scene(dstar=d0 if dstar is None else dstar, ds=ds, m=m, d0=d0, conf=conf)
 
 
 def prepare_scene(
@@ -323,12 +321,11 @@ def prepare_scene(
     sparse_spec: SparseSpec,
     scene_seed: int,
     sparse_seed: int,
-    feature_channels: int,
     conf_cfg: ConfidenceConfig | None = None,
 ) -> Scene:
     dstar = gen_scene(scene_spec, scene_seed)
     ds, m = sample_sparse(dstar, sparse_spec, sparse_seed)
-    return build_scene(dstar, ds, m, feature_channels, conf_cfg)
+    return build_scene(dstar, ds, m, conf_cfg)
 
 
 def suite_seeds(count: int, base_seed: int = 0) -> list:

@@ -279,21 +279,21 @@ def test_default_ablate_csv_reproduces_trend(trend, tmp_path, monkeypatch):
 
 
 def test_criterion_8_performance_floor(tmp_path):
-    from dspn.synth import SceneSpec, SparseSpec, prepare_scene
+    from dspn.synth import SceneSpec, SparseSpec, build_features, prepare_scene
 
     scene = prepare_scene(
         SceneSpec("composite", 256, 256, 1.0, 10.0),
         SparseSpec(0.05, 0.02, 0.1, 1.0),
         scene_seed=5,
         sparse_seed=6,
-        feature_channels=6,
     )
+    features = build_features(scene.d0, scene.m, 6)
     emb = EmbeddingParams.init(6, 6, seed=1)
     offsets = OffsetField.zeros(256, 256, 3)
     # warm-up outside the timed window
-    dspn_refine(scene.d0, scene.ds, scene.m, scene.conf, scene.features, offsets, emb, 1)
+    dspn_refine(scene.d0, scene.ds, scene.m, scene.conf, features, offsets, emb, 1)
     t0 = time.perf_counter()
-    dspn_refine(scene.d0, scene.ds, scene.m, scene.conf, scene.features, offsets, emb, 12)
+    dspn_refine(scene.d0, scene.ds, scene.m, scene.conf, features, offsets, emb, 12)
     elapsed = time.perf_counter() - t0
 
     rng = np.random.default_rng(3)

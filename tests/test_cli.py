@@ -27,10 +27,18 @@ from dspn.cli import (
     load_config,
     main,
 )
-from dspn.deformable import EmbeddingParams, affinity_forward_batched, refine_forward_batched
+from dspn.deformable import (
+    EmbeddingParams,
+    OffsetField,
+    affinity_forward_batched,
+    dspn_refine,
+    offset_estimator,
+    refine_forward_batched,
+)
 from dspn.errors import DspnError, InvalidConfig
 from dspn.gradcheck import dspn_backward, toy_fit
 from dspn.grid import Taps
+from dspn.synth import build_features
 
 
 def _refuse_scenes(cfg):
@@ -373,6 +381,20 @@ class TestCompleteContract:
         assert peak <= budget
         # the budget leaves less room than one whole-map corner-products array
         assert peak + 4 * taps * 8 > budget
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_refine_scene_forms_the_features_it_reads(self, k):
+        # dspn refinement of a scene is dspn_refine on features built at the
+        # parameters' channel count; at another kernel size the offsets
+        # fall back to the regular grid
+        cfg = load_config(None, ["num_scenes=1", "scene.width=16", "scene.height=16"])
+        scene = build_suite(cfg)[0]
+        params = init_fit_params(cfg)
+        features = build_features(scene.d0, scene.m, params.feature_channels)
+        offsets = offset_estimator(features, params.estimator) if k == 3 else OffsetField.zeros(16, 16, k)
+        want = dspn_refine(scene.d0, scene.ds, scene.m, scene.conf, features, offsets, params.emb, cfg.iters)
+        got = cli.refine_scene(scene, "dspn", cfg.iters, k, params)
+        assert np.array_equal(got.data, want.data)
 
     @pytest.mark.parametrize("where", ["sparse", "gt"])
     def test_negative_depth_exits_2_naming_the_map(self, where, tmp_path, capsys):

@@ -223,6 +223,11 @@ class TestHeuristicOracle:
         rng = np.random.default_rng(seed)
         vals, mask = _sparse(rng, h, w, density)
         coarse = rng.uniform(1.0, 10.0, (h, w)) if with_coarse else None
+        if max_radius == 0:
+            # a window of radius 0 holds no neighbour: rejected, not scored 1
+            with pytest.raises(InvalidConfig):
+                heuristic_confidence(Grid(vals), Grid(mask), ConfidenceConfig(), max_radius=0)
+            return
         _assert_matches_ref(
             vals, mask, coarse=coarse, min_neighbors=min_neighbors, max_radius=max_radius
         )

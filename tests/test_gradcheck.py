@@ -27,7 +27,7 @@ from dspn.gradcheck import (
     toy_fit,
 )
 from dspn.grid import Taps, edge_pad, fractions, position_gradient
-from dspn.synth import SceneSpec, SparseSpec, prepare_scene
+from dspn.synth import SceneSpec, SparseSpec, build_features, prepare_scene
 
 
 class TestFiniteDiff:
@@ -209,7 +209,7 @@ def test_lattice_position_gradient_is_right_sided():
 @pytest.fixture(scope="module")
 def scenes():
     scene, sparse = SceneSpec("step", 12, 12, 1.0, 5.0), SparseSpec(0.25, 0.0, 0.0, 0.0)
-    return [prepare_scene(scene, sparse, s, s + 50, feature_channels=4) for s in range(2)]
+    return [prepare_scene(scene, sparse, s, s + 50) for s in range(2)]
 
 
 class TestToyFit:
@@ -265,8 +265,8 @@ class TestToyFit:
     def test_scenes_of_different_sizes_train_together(self):
         sparse = SparseSpec(0.25, 0.0, 0.0, 0.0)
         mixed = [
-            prepare_scene(SceneSpec("step", 12, 12, 1.0, 5.0), sparse, 3, 53, feature_channels=4),
-            prepare_scene(SceneSpec("composite", 16, 10, 1.0, 5.0), sparse, 4, 54, feature_channels=4),
+            prepare_scene(SceneSpec("step", 12, 12, 1.0, 5.0), sparse, 3, 53),
+            prepare_scene(SceneSpec("composite", 16, 10, 1.0, 5.0), sparse, 4, 54),
         ]
         init = self._init(mixed)
         singles = [_fit_loss_and_grads(init, [s], iters=2, weight=1.0, kernel_size=3) for s in mixed]
@@ -287,9 +287,10 @@ class TestToyFit:
         scene = dataclasses.replace(scenes[0], dstar=Grid(gt))
         init = self._init(scenes)
         loss, _ = _fit_loss_and_grads(init, [scene], iters=2, weight=1.0, kernel_size=3, compute_grads=False)
+        features = build_features(scene.d0, scene.m, init.feature_channels)
         refined, _ = dspn_refine_forward(
-            scene.d0, scene.ds, scene.m, scene.conf, scene.features,
-            offset_estimator(scene.features, init.estimator), init.emb, 2, keep_records=False,
+            scene.d0, scene.ds, scene.m, scene.conf, features,
+            offset_estimator(features, init.estimator), init.emb, 2, keep_records=False,
         )
         diff = (refined.channel(0) - gt)[:, 6:]
         assert loss == pytest.approx(float(np.mean(diff * diff)), rel=1e-12)

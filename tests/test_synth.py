@@ -283,25 +283,32 @@ class TestFeatures:
             SparseSpec(0.05, 0.02, 0.1, 1.0),
             scene_seed=3,
             sparse_seed=4,
-            feature_channels=16,
         )
-        for g in (scene.dstar, scene.ds, scene.m, scene.d0, scene.features, scene.conf):
+        features = build_features(scene.d0, scene.m, 16)
+        for g in (scene.dstar, scene.ds, scene.m, scene.d0, features, scene.conf):
             assert np.isfinite(g.data).all()
 
     def test_measurements_without_ground_truth_get_the_generated_front_end(self):
-        # the file-input path: same coarse map, features and confidence as a
-        # generated scene, with the coarse map standing in for ground truth
+        # the file-input path: same coarse map and confidence as a generated
+        # scene, with the coarse map standing in for ground truth
         spec, sparse = SceneSpec("step", 16, 16, 1.0, 10.0), SparseSpec(0.2, 0.02, 0.2, 1.0)
-        ref = prepare_scene(spec, sparse, scene_seed=5, sparse_seed=6, feature_channels=6)
-        scene = build_scene(None, ref.ds, ref.m, feature_channels=6)
-        for name in ("d0", "features", "conf"):
+        ref = prepare_scene(spec, sparse, scene_seed=5, sparse_seed=6)
+        scene = build_scene(None, ref.ds, ref.m)
+        for name in ("d0", "conf"):
             assert np.array_equal(getattr(scene, name).data, getattr(ref, name).data)
         assert scene.dstar is scene.d0
+
+    def test_scene_holds_no_feature_planes(self):
+        # features are formed where they are read, so a scene holds its five
+        # single-channel maps and nothing else
+        scene = prepare_scene(SceneSpec("composite", 24, 16, 1.0, 10.0), SparseSpec(), scene_seed=3, sparse_seed=4)
+        held = sum(g.data.nbytes for g in vars(scene).values() if isinstance(g, Grid))
+        assert held <= 5 * 24 * 16 * 8
 
     def test_ground_truth_of_another_shape_rejected(self):
         ds, m = Grid.full(8, 8, 2.0), Grid.full(8, 8, 1.0)
         with pytest.raises(ShapeMismatch):
-            build_scene(Grid.full(8, 6, 2.0), ds, m, feature_channels=16)
+            build_scene(Grid.full(8, 6, 2.0), ds, m)
 
 
 def test_suite_specs_are_distinct_and_deterministic():

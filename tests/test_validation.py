@@ -2,7 +2,7 @@
 malformed operand, expected error class).
 
 Every row is an input that each rule in ``dspn.grid`` rejects: a count that
-is not a whole number, a pixel that is not an integer pair, a sampling
+is not a whole number or lies below its floor, a pixel that is not an integer pair, a sampling
 position that is not a pair of reals, and a map with more than one channel
 where an operator reads one.
 """
@@ -55,7 +55,7 @@ TWO = Grid(np.stack([np.ones((5, 5)), np.full((5, 5), 7.0)], axis=-1))
 
 
 def _fit(**kwargs):
-    scene = prepare_scene(SceneSpec("slope", 8, 8, 1.0, 5.0), SparseSpec(0.3), 1, 2, feature_channels=4)
+    scene = prepare_scene(SceneSpec("slope", 8, 8, 1.0, 5.0), SparseSpec(0.3), 1, 2)
     init = FitParams(EmbeddingParams.init(4, 4, seed=0), OffsetEstimatorParams.init(4, 4, 3, seed=0))
     return toy_fit([scene], init, **{"lr": 0.1, "steps": 1, "iters": 1, **kwargs})
 
@@ -75,6 +75,22 @@ CONTRACT = [
     ("toy_fit-float-iters", lambda: _fit(iters=2.5), InvalidConfig),
     ("toy_fit-negative-iters", lambda: _fit(iters=-1), InvalidConfig),
     ("toy_fit-float-steps", lambda: _fit(steps=2.5), InvalidConfig),
+    ("EmbeddingParams.init-float-embed-dim", lambda: EmbeddingParams.init(4.0, 4, seed=0), InvalidConfig),
+    ("EmbeddingParams.init-zero-channels", lambda: EmbeddingParams.init(4, 0, seed=0), InvalidConfig),
+    ("OffsetEstimatorParams.init-float-channels", lambda: OffsetEstimatorParams.init(3.0, 4, 3), InvalidConfig),
+    ("OffsetEstimatorParams.init-float-hidden", lambda: OffsetEstimatorParams.init(3, 4.0, 3), InvalidConfig),
+    ("build_features-float-channels", lambda: build_features(MAP, MASK, 2.5), InvalidConfig),
+    ("build_features-zero-channels", lambda: build_features(MAP, MASK, 0), InvalidConfig),
+    ("heuristic_confidence-float-radius",
+     lambda: heuristic_confidence(MAP, MASK, ConfidenceConfig(), max_radius=2.5), InvalidConfig),
+    ("heuristic_confidence-zero-radius",
+     lambda: heuristic_confidence(MAP, MASK, ConfidenceConfig(), max_radius=0), InvalidConfig),
+    ("heuristic_confidence-negative-radius",
+     lambda: heuristic_confidence(MAP, MASK, ConfidenceConfig(), max_radius=-1), InvalidConfig),
+    ("heuristic_confidence-float-neighbours",
+     lambda: heuristic_confidence(MAP, MASK, ConfidenceConfig(), min_neighbors=1.5), InvalidConfig),
+    ("heuristic_confidence-negative-neighbours",
+     lambda: heuristic_confidence(MAP, MASK, ConfidenceConfig(), min_neighbors=-1), InvalidConfig),
     # a pixel is an integer pair
     ("deformed_neighborhood-fractional-pixel", lambda: deformed_neighborhood((1.5, 2.9), 3, OFFSETS), InvalidPosition),
     ("deformed_neighborhood-short-pixel", lambda: deformed_neighborhood((1,), 3, OFFSETS), InvalidPosition),
@@ -99,6 +115,9 @@ CONTRACT = [
     ("soft_replace-two-channels",
      lambda: soft_replace(TWO, TWO, Grid(np.ones((5, 5, 2))), Grid(np.ones((5, 5, 2)))), ShapeMismatch),
     # operands share one shape
+    ("FitParams-channel-mismatch",
+     lambda: FitParams(EmbeddingParams.init(6, 4, seed=0), OffsetEstimatorParams.init(6, 4, 3, seed=0)),
+     ShapeMismatch),
     ("build_features-mask-of-another-shape", lambda: build_features(MAP, Grid(np.ones((4, 5))), 6), ShapeMismatch),
 ]
 
