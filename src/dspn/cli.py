@@ -29,13 +29,14 @@ from .gradcheck import (
     make_gradcheck_instance,
     toy_fit,
 )
-from .grid import Grid, count, single_channel
+from .grid import Grid, count, one_of, single_channel
 from .io import read_grid, write_grd
 from .metrics import LossWeights, eval_metrics, valid_gt
 from .synth import Scene, SceneSpec, SparseSpec, build_features, build_scene, prepare_scene, suite_seeds
 
 MODES = ("generate", "complete", "eval", "gradcheck", "ablate")
 REFINE_KINDS = ("none", "cspn", "dspn")
+REPLACEMENTS = ("soft", "hard")
 
 
 @dataclass
@@ -88,12 +89,9 @@ class RunConfig:
     gradcheck_tol: float = 1e-4
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise InvalidConfig(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.refine not in REFINE_KINDS:
-            raise InvalidConfig(f"refine must be one of {REFINE_KINDS}, got {self.refine!r}")
-        if self.replacement not in ("soft", "hard"):
-            raise InvalidConfig(f"replacement must be soft or hard, got {self.replacement!r}")
+        one_of(self.mode, "mode", MODES)
+        one_of(self.refine, "refine", REFINE_KINDS)
+        one_of(self.replacement, "replacement", REPLACEMENTS)
         check_kernel_size(self.kernel_size)
         ConfidenceConfig(self.gamma)
         for name, low in (("iters", 0), ("seed", 0), ("num_scenes", 1), ("feature_channels", 1),
@@ -214,11 +212,12 @@ def init_fit_params(cfg: RunConfig) -> FitParams:
 
 # Bytes of propagation state per tap (one pixel's read of one neighbour) that
 # one scene holds. dspn: the taps' base index into the padded stack (8 B),
-# four bilinear weights (32 B) and the softmax weight (8 B). cspn: the raw
-# and the normalised stencil.
-STATE_BYTES_PER_TAP = {"dspn": 48, "cspn": 16}
-# Cap on that state: k=3 and k=5 dspn on a 1216x352 KITTI map (about 157
-# and 470 MiB) fit, and a run's peak memory is about twice its state.
+# four bilinear weights (32 B) and the softmax weight (8 B). cspn: the
+# normalised stencil (8 B).
+STATE_BYTES_PER_TAP = {"dspn": 48, "cspn": 8}
+# Cap on that state: on a 1216x352 KITTI map it admits dspn at k=3 and k=5
+# (about 157 and 470 MiB) and cspn up to k=11 (about 392 MiB), and a run's
+# peak memory is about twice its state.
 MAX_STATE_BYTES = 512 * 2**20
 
 
@@ -259,6 +258,8 @@ def refine_scene(
     replacement: str = "soft",
 ) -> Grid:
     """Refined depth for one scene; method none returns the coarse map."""
+    one_of(method, "method", REFINE_KINDS)
+    one_of(replacement, "replacement", REPLACEMENTS)
     if method == "none" or iters == 0:
         return scene.d0
     check_state_size(scene.d0.height, scene.d0.width, kernel_size, method)
@@ -317,16 +318,14 @@ def run_complete(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if cfg.inputs.sparse:
         scene = _scene_from_inputs(cfg)
-        have_gt = bool(cfg.inputs.gt)
     else:
         scene = build_suite(dataclasses.replace(cfg, num_scenes=1))[0]
-        have_gt = True
     # a gt without any valid pixel fails here, before training or any write
-    valid = valid_gt(scene.dstar) if have_gt else None
+    valid = valid_gt(scene.dstar) if scene.dstar is not None else None
     params = train_dspn([scene], cfg) if cfg.refine == "dspn" else None
     refined = refine_scene(scene, cfg.refine, cfg.iters, cfg.kernel_size, params, cfg.replacement)
     write_grd(refined, out / "refined.grd")
-    if have_gt:
+    if scene.dstar is not None:
         # missing gt pixels carry no error
         err = Grid(np.where(valid, np.abs(single_channel(refined) - single_channel(scene.dstar)), 0.0))
         write_grd(err, out / "errmap.grd")

@@ -37,27 +37,27 @@ def neighbor_offsets(kernel_size: int) -> np.ndarray:
 
 
 class AffinityStencilField:
-    """Per-pixel raw affinities over the k x k ring, shape (h, w, k*k-1).
+    """Per-pixel affinities over the k x k ring, shape (h, w, k*k-1).
 
-    ``norm`` is the abs-normalised stencil, computed once here because every
-    propagation step reads the same weights. ``raw`` is a copy of the input,
-    so a caller changing its array later cannot leave ``norm`` stale.
+    ``weights`` is the abs-normalised stencil, formed once here because
+    every propagation step reads the same weights. It is a new array, so a
+    caller changing its raw stencil later cannot leave it stale.
     """
 
-    __slots__ = ("kernel_size", "raw", "norm")
+    __slots__ = ("kernel_size", "weights")
 
     def __init__(self, kernel_size: int, raw):
         n = check_kernel_size(kernel_size) ** 2 - 1
-        arr = np.array(raw, dtype=np.float64)
+        arr = np.asarray(raw, dtype=np.float64)
         if arr.ndim != 3 or arr.shape[2] != n:
             raise InvalidAffinity(f"expected stencil shape (h, w, {n}), got {arr.shape}")
         self.kernel_size = kernel_size
-        self.raw = arr
-        self.norm = normalize_stencil(arr)
+        self.weights = normalize_stencil(arr).weights
 
     @classmethod
     def uniform(cls, width: int, height: int, kernel_size: int = 3) -> "AffinityStencilField":
-        return cls(kernel_size, np.ones((height, width, check_kernel_size(kernel_size) ** 2 - 1)))
+        n = check_kernel_size(kernel_size) ** 2 - 1
+        return cls(kernel_size, np.ones((count(height, "height", 1), count(width, "width", 1), n)))
 
 
 @dataclass
@@ -76,16 +76,20 @@ def normalize_stencil(raw) -> NormalizedStencil:
     """Divide by the sum of absolute entries; self-weight takes the remainder.
 
     An all-zero stencil cannot be normalised and degrades to identity
-    propagation (zero neighbour weights, self-weight 1).
+    propagation (zero neighbour weights, self-weight 1). A stencil whose
+    absolute sum overflows cannot be normalised either and raises
+    InvalidAffinity.
     """
     arr = np.asarray(raw, dtype=np.float64)
     if arr.ndim == 0 or arr.shape[-1] == 0:
         raise InvalidAffinity("empty stencil")
     if not np.isfinite(arr).all():
         raise InvalidAffinity("stencil contains NaN or Inf")
-    denom = np.abs(arr).sum(axis=-1, keepdims=True)
-    safe = np.where(denom == 0.0, 1.0, denom)
-    weights = np.where(denom == 0.0, 0.0, arr / safe)
+    with np.errstate(over="ignore"):
+        denom = np.abs(arr).sum(axis=-1, keepdims=True)
+    if not np.isfinite(denom).all():
+        raise InvalidAffinity("the stencil's absolute sum overflows")
+    weights = arr / np.where(denom == 0.0, 1.0, denom)
     self_weight = 1.0 - weights.sum(axis=-1)
     return NormalizedStencil(weights=weights, self_weight=self_weight)
 
@@ -104,14 +108,14 @@ def cspn_step(H: Grid, stencils: AffinityStencilField) -> Grid:
     """
     arr = single_channel(H, "propagated map")
     h, w = arr.shape
-    if stencils.raw.shape[:2] != (h, w):
-        raise ShapeMismatch(f"stencil field {stencils.raw.shape[:2]} does not match grid {(h, w)}")
+    if stencils.weights.shape[:2] != (h, w):
+        raise ShapeMismatch(f"stencil field {stencils.weights.shape[:2]} does not match grid {(h, w)}")
     r = stencils.kernel_size // 2
     padded = np.pad(arr, r, mode="edge")
     offs = neighbor_offsets(stencils.kernel_size)
     acc = np.zeros_like(arr)
     for j, nb in enumerate(_shifted_views(padded, offs, h, w, r)):
-        acc += stencils.norm.weights[:, :, j] * (nb - arr)
+        acc += stencils.weights[:, :, j] * (nb - arr)
     return Grid(arr + acc)
 
 

@@ -84,7 +84,8 @@ class OffsetField:
 
     @classmethod
     def zeros(cls, width: int, height: int, kernel_size: int = 3) -> "OffsetField":
-        return cls(kernel_size, np.zeros((height, width, check_kernel_size(kernel_size) ** 2 - 1, 2)))
+        n = check_kernel_size(kernel_size) ** 2 - 1
+        return cls(kernel_size, np.zeros((count(height, "height", 1), count(width, "width", 1), n, 2)))
 
 
 EMBED_INIT_SCALE = 0.5  # diagonal of the embeddings' initial identity
@@ -182,12 +183,6 @@ class OffsetEstimatorParams:
     @property
     def feature_channels(self) -> int:
         return self.w1.shape[1]
-
-    def copy(self) -> "OffsetEstimatorParams":
-        return OffsetEstimatorParams(
-            self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy(),
-            self.w3.copy(), self.b3.copy(), self.kernel_size,
-        )
 
     @classmethod
     def init(

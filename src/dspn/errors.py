@@ -19,7 +19,8 @@ class ShapeMismatch(DspnError):
 
 
 class InvalidAffinity(DspnError):
-    """Raw affinity stencil contains non-finite entries or has a bad layout."""
+    """Raw affinity stencil contains non-finite entries, has an absolute sum
+    that overflows, or has a bad layout."""
 
 
 class InvalidMask(DspnError):
@@ -35,7 +36,7 @@ class InvalidConfidence(DspnError):
 
 
 class EmptyGroundTruth(DspnError):
-    """No valid ground-truth pixels to evaluate against."""
+    """No ground truth, or no valid pixel in it, to evaluate or fit against."""
 
 
 class NonFiniteLoss(DspnError):

@@ -10,6 +10,7 @@ parameters.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,7 +104,7 @@ def dspn_backward(grad_out, state: RefineState, detach_weights: bool = False) ->
     if len(state.inputs) != state.iters:
         raise InvalidState("forward state was built without per-step records")
     aff = state.affinity
-    g = np.array(grad_out, dtype=np.float64, copy=True)
+    g = np.asarray(grad_out, dtype=np.float64)
     squeeze = g.ndim == 2
     if squeeze:
         g = g[np.newaxis]
@@ -285,23 +286,19 @@ class FitParams:
         """The channel count of the features both groups read."""
         return self.emb.feature_channels
 
-    def copy(self) -> "FitParams":
-        return FitParams(
-            emb=EmbeddingParams(self.emb.g_theta.copy(), self.emb.g_phi.copy()),
-            estimator=self.estimator.copy(),
-        )
-
-    def holder(self, name: str):
-        """The parameter object that holds the array called ``name``."""
-        return self.estimator if name in ESTIMATOR_KEYS else self.emb
-
     def arrays(self) -> dict:
         """Every trainable array by name."""
-        return {name: getattr(self.holder(name), name) for name in ("g_theta", "g_phi", *ESTIMATOR_KEYS)}
+        return {"g_theta": self.emb.g_theta, "g_phi": self.emb.g_phi,
+                **{name: getattr(self.estimator, name) for name in ESTIMATOR_KEYS}}
+
+    def step(self, grads: dict, lr: float) -> "FitParams":
+        """New parameters p - lr * grad for every array, through the constructors' checks."""
+        new = {name: p - lr * grads[name] for name, p in self.arrays().items()}
+        return FitParams(EmbeddingParams(new.pop("g_theta"), new.pop("g_phi")),
+                         OffsetEstimatorParams(**new, kernel_size=self.estimator.kernel_size))
 
 
-def _fit_loss_and_grads(params: FitParams, scenes, iters: int, weight: float,
-                        kernel_size: int, compute_grads: bool = True):
+def _fit_loss_and_grads(params: FitParams, scenes, iters: int, weight: float, compute_grads: bool = True):
     """Mean loss over the scenes and its gradient, keyed like ``params.arrays()``.
 
     Each scene runs through the batched core as a stack of one, so scenes of
@@ -315,7 +312,7 @@ def _fit_loss_and_grads(params: FitParams, scenes, iters: int, weight: float,
         n_valid = int(valid.sum())
         feats = build_features(scene.d0, scene.m, params.feature_channels).data[np.newaxis]
         delta, cache = offset_estimator_forward(feats, params.estimator)
-        aff = affinity_forward_batched(feats, delta, params.emb, kernel_size)
+        aff = affinity_forward_batched(feats, delta, params.emb, params.estimator.kernel_size)
         state = refine_forward_batched(
             single_channel(scene.d0)[np.newaxis], single_channel(scene.ds)[np.newaxis],
             (single_channel(scene.m) * single_channel(scene.conf))[np.newaxis],
@@ -344,45 +341,43 @@ def toy_fit(
 ):
     """Plain gradient descent on the refined-depth loss over a scene set.
 
-    Each update is exactly p <- p - lr * grad, from the parameters ``init``
-    (see :func:`dspn.cli.init_fit_params`). Returns the fitted parameters
-    and the loss trace (initial loss followed by the loss after each step).
-    ``seed`` has no effect: the fit draws nothing.
+    From the parameters ``init`` (see :func:`dspn.cli.init_fit_params`),
+    each step builds new ones, exactly p - lr * grad (:meth:`FitParams.step`).
+    Returns the fitted parameters and the loss trace (initial loss followed
+    by the loss after each step). ``seed`` has no effect: the fit draws nothing.
 
-    Raises InvalidConfig without initial parameters, EmptyGroundTruth when
-    a scene has no valid ground-truth pixel, and Diverged as soon as the
-    loss stops being finite.
+    Raises InvalidConfig without initial parameters or scenes, or with an
+    lr that is not a finite real >= 0, EmptyGroundTruth when a scene has no
+    valid ground-truth pixel, and Diverged as soon as the parameters or the
+    loss stop being finite.
     """
     if init is None:
         raise InvalidConfig("toy_fit needs initial parameters")
+    if not scenes:
+        raise InvalidConfig("toy_fit needs at least one scene")
     steps = count(steps, "steps", 1)
     iters = count(iters, "iteration count")
-    if not (np.isfinite(lr) and lr >= 0.0):
-        raise InvalidConfig(f"lr must be finite and >= 0, got {lr}")
+    if not (isinstance(lr, numbers.Real) and np.isfinite(lr) and lr >= 0.0):
+        raise InvalidConfig(f"lr must be a finite real >= 0, got {lr!r}")
     weight = (weights or LossWeights()).refined
-    kernel_size = init.estimator.kernel_size
 
-    params = init.copy()
-    loss, grads = _fit_loss_and_grads(params, scenes, iters, weight, kernel_size)
+    params = init
+    loss, grads = _fit_loss_and_grads(params, scenes, iters, weight)
     if not np.isfinite(loss):
         raise Diverged(f"initial loss is not finite: {loss}")
     trace = [loss]
     for step in range(steps):
-        for name, g in grads.items():
-            holder = params.holder(name)
-            setattr(holder, name, getattr(holder, name) - lr * g)
         last = step == steps - 1
         try:
             # the propagation output is range-bounded, so runaway parameters
-            # surface as non-finite intermediates rather than an infinite
-            # loss; after a clean initial evaluation any DspnError or float
-            # overflow here means the optimisation blew up
+            # surface as non-finite parameters or intermediates rather than
+            # an infinite loss; after a clean initial evaluation any
+            # DspnError or float overflow here means the optimisation blew up
             with np.errstate(over="raise", invalid="raise"):
-                loss, grads = _fit_loss_and_grads(
-                    params, scenes, iters, weight, kernel_size, compute_grads=not last
-                )
+                params = params.step(grads, lr)
+                loss, grads = _fit_loss_and_grads(params, scenes, iters, weight, compute_grads=not last)
         except (DspnError, FloatingPointError) as exc:
-            raise Diverged(f"forward pass failed after {step + 1} step(s): {exc}") from exc
+            raise Diverged(f"step {step + 1} failed: {exc}") from exc
         if not np.isfinite(loss):
             raise Diverged(f"loss diverged to {loss}")
         trace.append(loss)

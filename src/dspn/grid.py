@@ -64,11 +64,12 @@ class Grid:
 
     @classmethod
     def zeros(cls, width: int, height: int, channels: int = 1) -> "Grid":
-        return cls(np.zeros((height, width, channels)))
+        return cls.full(width, height, 0.0, channels)
 
     @classmethod
     def full(cls, width: int, height: int, value: float, channels: int = 1) -> "Grid":
-        return cls(np.full((height, width, channels), float(value)))
+        shape = (count(height, "height", 1), count(width, "width", 1), count(channels, "channels", 1))
+        return cls(np.full(shape, float(value)))
 
     def __repr__(self) -> str:
         return f"Grid(width={self.width}, height={self.height}, channels={self.channels})"
@@ -108,6 +109,14 @@ def count(value, name: str, low: int = 0) -> int:
         raise InvalidConfig(f"{name} must be a whole number, got {value!r}") from None
     if value < low:
         raise InvalidConfig(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def one_of(value, name: str, allowed: tuple) -> str:
+    """A name from ``allowed``, the strings a choice (a mode, a refinement
+    method, a replacement) may take."""
+    if not (isinstance(value, str) and value in allowed):
+        raise InvalidConfig(f"{name} must be one of {allowed}, got {value!r}")
     return value
 
 

@@ -40,11 +40,14 @@ class LossWeights:
             raise InvalidConfig(f"loss weight refined must be finite and >= 0, got {self.refined}")
 
 
-def valid_gt(gt: Grid) -> np.ndarray:
+def valid_gt(gt: Grid | None) -> np.ndarray:
     """The (h, w) mask of pixels with ground truth: those with positive depth.
 
-    Raises EmptyGroundTruth when no pixel has any.
+    Raises EmptyGroundTruth when there is no ground truth (None) or no
+    pixel has any.
     """
+    if gt is None:
+        raise EmptyGroundTruth("no ground truth")
     valid = single_channel(gt, "ground truth") > 0.0
     if not valid.any():
         raise EmptyGroundTruth("no pixels with positive ground truth")

@@ -287,7 +287,7 @@ def build_features(d0: Grid, m: Grid, feature_channels: int) -> Grid:
 class Scene:
     """A prepared depth-completion problem; its readers form the features."""
 
-    dstar: Grid
+    dstar: Grid | None  # None without ground truth: the scene is refined, not scored
     ds: Grid
     m: Grid
     d0: Grid
@@ -301,9 +301,10 @@ def build_scene(
     conf_cfg: ConfidenceConfig | None = None,
 ) -> Scene:
     """The front end: coarse depth and heuristic confidence for sparse
-    measurements ``ds`` with mask ``m``. Without ground truth
-    (``dstar`` None) the coarse map stands in for it. Every input map must be
-    single-channel, and no depth may be negative: 0 marks a missing pixel."""
+    measurements ``ds`` with mask ``m``. Without ground truth (``dstar``
+    None) the scene can be refined but not scored or fitted. Every input map
+    must be single-channel, and no depth may be negative: 0 marks a missing
+    pixel."""
     for name, g in (("ground truth", dstar), ("sparse map", ds), ("mask", m)):
         if g is not None:
             single_channel(g, name)
@@ -313,7 +314,7 @@ def build_scene(
     check_same_shape(ground_truth=dstar, sparse_map=ds)
     d0 = coarse_predict(ds, m)
     conf = heuristic_confidence(ds, m, conf_cfg or ConfidenceConfig(), coarse=d0)
-    return Scene(dstar=d0 if dstar is None else dstar, ds=ds, m=m, d0=d0, conf=conf)
+    return Scene(dstar=dstar, ds=ds, m=m, d0=d0, conf=conf)
 
 
 def prepare_scene(

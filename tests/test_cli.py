@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dspn import Grid, cli, deformable, read_grd, read_pgm16, write_grd, write_pgm16
+from dspn import AffinityStencilField, Grid, cli, deformable, read_grd, read_pgm16, write_grd, write_pgm16
 from dspn.cli import (
     DEFAULT_ABLATE_ROWS,
     MAX_STATE_BYTES,
@@ -320,6 +320,22 @@ class TestCompleteContract:
         assert rest["F"] is feats and rest["stack"] is feats
         assert rest["w_self"].shape == (1, 64, 64)
 
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_state_estimate_matches_the_stencil_field(self, k):
+        # a fixed-stencil field holds only the normalised weights every step
+        # reads, exactly the bytes per tap the cap charges; a kept raw
+        # stencil or self-weight map fails here
+        def held(value):
+            if isinstance(value, np.ndarray):
+                return value.nbytes
+            if dataclasses.is_dataclass(value):
+                return sum(held(getattr(value, f.name)) for f in dataclasses.fields(value))
+            return sum(held(getattr(value, name)) for name in getattr(type(value), "__slots__", ()))
+
+        field = AffinityStencilField.uniform(64, 48, k)
+        assert held(field) == 48 * 64 * (k * k - 1) * cli.STATE_BYTES_PER_TAP["cspn"]
+        assert check_state_size(48, 64, k, "cspn") == held(field)
+
     def test_affinity_peak_is_its_state_plus_one_band(self):
         # 176x608 at k=3, traced: the state, the padded keys (the one
         # per-pixel embedding map the affinity keeps whole) and one band's
@@ -412,9 +428,10 @@ class TestCompleteContract:
         assert not (tmp_path / "out" / "refined.grd").exists()
 
     # the state is estimated before any of it is allocated: these sizes
-    # would need 0.5 to 20 GB. k=7 is over the cap for dspn only (about
-    # 940 MiB; cspn needs about 313 MiB and runs)
-    @pytest.mark.parametrize("k,refine", [(7, "dspn"), (9, "dspn"), (9, "cspn"), (31, "dspn"), (31, "cspn")])
+    # would need 0.5 to 20 GB. At 8 B per tap cspn runs up to k=11 (about
+    # 392 MiB), so k=13 (about 549 MiB) is its first kernel over the cap;
+    # dspn, at 48 B per tap, is over it from k=7 (about 940 MiB)
+    @pytest.mark.parametrize("k,refine", [(7, "dspn"), (9, "dspn"), (13, "cspn"), (31, "dspn"), (31, "cspn")])
     def test_oversized_kernel_on_a_kitti_map_exits_2(self, refine, k, tmp_path, capsys):
         sparse = tmp_path / "sparse.pgm"
         depth = np.zeros((352, 1216))

@@ -231,7 +231,7 @@ class TestToyFit:
     def test_single_step_is_exact_gradient_update(self, scenes):
         init = self._init(scenes)
         lr = 0.05
-        _, grads = _fit_loss_and_grads(init, scenes, iters=2, weight=1.0, kernel_size=3)
+        _, grads = _fit_loss_and_grads(init, scenes, iters=2, weight=1.0)
         fitted, trace = toy_fit(scenes, init, lr=lr, steps=1, iters=2)
         start, end = init.arrays(), fitted.arrays()
         assert set(grads) == set(start) == {"g_theta", "g_phi", *ESTIMATOR_KEYS}
@@ -269,8 +269,8 @@ class TestToyFit:
             prepare_scene(SceneSpec("composite", 16, 10, 1.0, 5.0), sparse, 4, 54),
         ]
         init = self._init(mixed)
-        singles = [_fit_loss_and_grads(init, [s], iters=2, weight=1.0, kernel_size=3) for s in mixed]
-        loss, grads = _fit_loss_and_grads(init, mixed, iters=2, weight=1.0, kernel_size=3)
+        singles = [_fit_loss_and_grads(init, [s], iters=2, weight=1.0) for s in mixed]
+        loss, grads = _fit_loss_and_grads(init, mixed, iters=2, weight=1.0)
         assert loss == (singles[0][0] + singles[1][0]) / 2
         for name, g in grads.items():
             assert np.array_equal(g, (singles[0][1][name] + singles[1][1][name]) / 2)
@@ -286,7 +286,7 @@ class TestToyFit:
         gt[:, :6] = 0.0
         scene = dataclasses.replace(scenes[0], dstar=Grid(gt))
         init = self._init(scenes)
-        loss, _ = _fit_loss_and_grads(init, [scene], iters=2, weight=1.0, kernel_size=3, compute_grads=False)
+        loss, _ = _fit_loss_and_grads(init, [scene], iters=2, weight=1.0, compute_grads=False)
         features = build_features(scene.d0, scene.m, init.feature_channels)
         refined, _ = dspn_refine_forward(
             scene.d0, scene.ds, scene.m, scene.conf, features,

@@ -290,13 +290,13 @@ class TestFeatures:
 
     def test_measurements_without_ground_truth_get_the_generated_front_end(self):
         # the file-input path: same coarse map and confidence as a generated
-        # scene, with the coarse map standing in for ground truth
+        # scene, and no ground truth
         spec, sparse = SceneSpec("step", 16, 16, 1.0, 10.0), SparseSpec(0.2, 0.02, 0.2, 1.0)
         ref = prepare_scene(spec, sparse, scene_seed=5, sparse_seed=6)
         scene = build_scene(None, ref.ds, ref.m)
         for name in ("d0", "conf"):
             assert np.array_equal(getattr(scene, name).data, getattr(ref, name).data)
-        assert scene.dstar is scene.d0
+        assert scene.dstar is None
 
     def test_scene_holds_no_feature_planes(self):
         # features are formed where they are read, so a scene holds its five

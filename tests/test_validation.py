@@ -2,9 +2,12 @@
 malformed operand, expected error class).
 
 Every row is an input that each rule in ``dspn.grid`` rejects: a count that
-is not a whole number or lies below its floor, a pixel that is not an integer pair, a sampling
-position that is not a pair of reals, and a map with more than one channel
-where an operator reads one.
+is not a whole number or lies below its floor, a name outside its choices,
+a pixel that is not an integer pair, a sampling position that is not a pair
+of reals, and a map with more than one channel where an operator reads one.
+The rest are rules of their own operators: a fit needs scenes and a real
+step size, a stencil a finite absolute sum, and a score or a fit ground
+truth.
 """
 
 import numpy as np
@@ -33,15 +36,18 @@ from dspn import (
     hard_replace,
     heuristic_confidence,
     neighbor_offsets,
+    normalize_stencil,
     prepare_scene,
     sample_sparse,
     soft_replace,
     toy_fit,
 )
+from dspn.cli import evaluate_suite, refine_scene
 from dspn.confidence import ConfidenceConfig
-from dspn.errors import InvalidConfig, InvalidPosition, ShapeMismatch
+from dspn.errors import EmptyGroundTruth, InvalidAffinity, InvalidConfig, InvalidPosition, ShapeMismatch
 from dspn.grid import binary_mask, unit_confidence
 from dspn.metrics import valid_gt
+from dspn.synth import build_scene
 
 RNG = np.random.default_rng(18)
 MAP = Grid(RNG.uniform(1.0, 2.0, (5, 5)))
@@ -54,10 +60,13 @@ NBRS = deformed_neighborhood((1, 1), 3, OFFSETS)
 TWO = Grid(np.stack([np.ones((5, 5)), np.full((5, 5), 7.0)], axis=-1))
 
 
-def _fit(**kwargs):
-    scene = prepare_scene(SceneSpec("slope", 8, 8, 1.0, 5.0), SparseSpec(0.3), 1, 2)
-    init = FitParams(EmbeddingParams.init(4, 4, seed=0), OffsetEstimatorParams.init(4, 4, 3, seed=0))
-    return toy_fit([scene], init, **{"lr": 0.1, "steps": 1, "iters": 1, **kwargs})
+SCENE = prepare_scene(SceneSpec("slope", 8, 8, 1.0, 5.0), SparseSpec(0.3), 1, 2)
+NO_GT = build_scene(None, SCENE.ds, SCENE.m)
+PARAMS = FitParams(EmbeddingParams.init(4, 4, seed=0), OffsetEstimatorParams.init(4, 4, 3, seed=0))
+
+
+def _fit(scenes=(SCENE,), **kwargs):
+    return toy_fit(list(scenes), PARAMS, **{"lr": 0.1, "steps": 1, "iters": 1, **kwargs})
 
 
 CONTRACT = [
@@ -91,6 +100,32 @@ CONTRACT = [
      lambda: heuristic_confidence(MAP, MASK, ConfidenceConfig(), min_neighbors=1.5), InvalidConfig),
     ("heuristic_confidence-negative-neighbours",
      lambda: heuristic_confidence(MAP, MASK, ConfidenceConfig(), min_neighbors=-1), InvalidConfig),
+    ("Grid.zeros-float-width", lambda: Grid.zeros(4.5, 4), InvalidConfig),
+    ("Grid.zeros-zero-width", lambda: Grid.zeros(0, 4), InvalidConfig),
+    ("Grid.zeros-negative-height", lambda: Grid.zeros(4, -1), InvalidConfig),
+    ("Grid.full-float-channels", lambda: Grid.full(4, 4, 1.0, 2.0), InvalidConfig),
+    ("OffsetField.zeros-float-width", lambda: OffsetField.zeros(4.5, 4, 3), InvalidConfig),
+    ("OffsetField.zeros-negative-width", lambda: OffsetField.zeros(-1, 4, 3), InvalidConfig),
+    ("AffinityStencilField.uniform-float-width", lambda: AffinityStencilField.uniform(4.0, 4, 3), InvalidConfig),
+    ("AffinityStencilField.uniform-negative-height",
+     lambda: AffinityStencilField.uniform(4, -2, 3), InvalidConfig),
+    # a choice is one of its names
+    ("refine_scene-unknown-replacement", lambda: refine_scene(SCENE, "dspn", 3, 3, PARAMS, "foo"), InvalidConfig),
+    ("refine_scene-unknown-method", lambda: refine_scene(SCENE, "foo", 0, 3), InvalidConfig),
+    ("evaluate_suite-unknown-method", lambda: evaluate_suite([SCENE], "foo", 3, 3, PARAMS), InvalidConfig),
+    # a fit needs scenes and a real step size
+    ("toy_fit-no-scenes", lambda: _fit(scenes=()), InvalidConfig),
+    ("toy_fit-text-lr", lambda: _fit(lr="1"), InvalidConfig),
+    ("toy_fit-none-lr", lambda: _fit(lr=None), InvalidConfig),
+    # a stencil's absolute sum is finite
+    ("normalize_stencil-overflowing-sum", lambda: normalize_stencil(np.full(8, 1e308)), InvalidAffinity),
+    ("AffinityStencilField-overflowing-sum",
+     lambda: AffinityStencilField(3, np.full((5, 5, 8), 1e308)), InvalidAffinity),
+    # a score or a fit needs ground truth
+    ("valid_gt-none", lambda: valid_gt(None), EmptyGroundTruth),
+    ("eval_metrics-no-ground-truth", lambda: eval_metrics(MAP, None), EmptyGroundTruth),
+    ("evaluate_suite-no-ground-truth", lambda: evaluate_suite([NO_GT], "none", 0, 3), EmptyGroundTruth),
+    ("toy_fit-no-ground-truth", lambda: _fit(scenes=(NO_GT,)), EmptyGroundTruth),
     # a pixel is an integer pair
     ("deformed_neighborhood-fractional-pixel", lambda: deformed_neighborhood((1.5, 2.9), 3, OFFSETS), InvalidPosition),
     ("deformed_neighborhood-short-pixel", lambda: deformed_neighborhood((1,), 3, OFFSETS), InvalidPosition),
