@@ -29,7 +29,7 @@ from .gradcheck import (
     make_gradcheck_instance,
     toy_fit,
 )
-from .grid import Grid, count, one_of, single_channel
+from .grid import Grid, count, one_of, real, single_channel
 from .io import read_grid, write_grd
 from .metrics import LossWeights, eval_metrics, valid_gt
 from .synth import Scene, SceneSpec, SparseSpec, build_features, build_scene, prepare_scene, suite_seeds
@@ -48,7 +48,7 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("steps", "iters"):
             count(getattr(self, name), f"train.{name}")
-        if self.lr < 0:
+        if real(self.lr, "train.lr") < 0.0:
             raise InvalidConfig(f"train.lr must be >= 0, got {self.lr}")
 
 
@@ -97,9 +97,9 @@ class RunConfig:
         for name, low in (("iters", 0), ("seed", 0), ("num_scenes", 1), ("feature_channels", 1),
                           ("embed_dim", 1), ("hidden_channels", 1), ("gradcheck_instances", 1)):
             count(getattr(self, name), name, low)
-        if not (np.isfinite(self.gradcheck_tol) and self.gradcheck_tol >= 0.0):
-            raise InvalidConfig(f"gradcheck_tol must be finite and >= 0, got {self.gradcheck_tol}")
-        if not self.gradcheck_eps > 0.0:
+        if real(self.gradcheck_tol, "gradcheck_tol") < 0.0:
+            raise InvalidConfig(f"gradcheck_tol must be >= 0, got {self.gradcheck_tol}")
+        if real(self.gradcheck_eps, "gradcheck_eps") <= 0.0:
             raise InvalidConfig(f"gradcheck_eps must be > 0, got {self.gradcheck_eps}")
         if (self.mode == "complete" and self.inputs.sparse and not self.inputs.gt
                 and self.refine == "dspn" and self.train.steps > 0):
@@ -110,18 +110,16 @@ class RunConfig:
             )
 
 
-_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
+_KINDS = {int: "an integer", str: "a string"}
 
 
 def _field_value(kind, value, key: str):
-    """Check one leaf value against its field's type; sections recurse."""
+    """Check one leaf value against its field's type; sections recurse and check their reals."""
     if dataclasses.is_dataclass(kind):
         return build_config(kind, value, key + ".")
-    if kind is float and type(value) is int:
-        value = float(value)
     if kind is int and type(value) is float and value.is_integer():
         value = int(value)
-    if type(value) is not kind or (kind is float and not np.isfinite(value)):
+    if kind is not float and type(value) is not kind:
         raise InvalidConfig(f"config key {key!r} must be {_KINDS[kind]}, got {value!r}")
     return value
 
@@ -216,8 +214,8 @@ def init_fit_params(cfg: RunConfig) -> FitParams:
 # normalised stencil (8 B).
 STATE_BYTES_PER_TAP = {"dspn": 48, "cspn": 8}
 # Cap on that state: on a 1216x352 KITTI map it admits dspn at k=3 and k=5
-# (about 157 and 470 MiB) and cspn up to k=11 (about 392 MiB), and a run's
-# peak memory is about twice its state.
+# (about 157 and 470 MiB) and cspn up to k=11 (about 392 MiB); a cspn run
+# peaks at about its state above the process's base (README).
 MAX_STATE_BYTES = 512 * 2**20
 
 

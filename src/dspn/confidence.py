@@ -12,7 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .grid import Grid, binary_mask, check_same_shape, count, single_channel, unit_confidence
+from .grid import Grid, binary_mask, check_same_shape, count, real, single_channel, unit_confidence
+
+AGREEMENT_SLACK = 0.12
+GRADIENT_SLACK = 1.0
 
 
 @dataclass
@@ -22,8 +25,8 @@ class ConfidenceConfig:
     gamma: float = 0.1
 
     def __post_init__(self):
-        if not (np.isfinite(self.gamma) and self.gamma > 0.0):
-            raise InvalidConfig(f"gamma must be a positive finite number, got {self.gamma}")
+        if real(self.gamma, "gamma") <= 0.0:
+            raise InvalidConfig(f"gamma must be > 0, got {self.gamma}")
 
 
 def confidence_target(dstar: Grid, ds: Grid, m: Grid, cfg: ConfidenceConfig) -> Grid:
@@ -52,8 +55,6 @@ def heuristic_confidence(
     coarse: Grid | None = None,
     min_neighbors: int = 3,
     max_radius: int = 8,
-    agreement_slack: float = 0.12,
-    gradient_slack: float = 1.0,
 ) -> Grid:
     """Predicted-confidence stand-in from the sparse map alone.
 
@@ -66,12 +67,13 @@ def heuristic_confidence(
     same-surface neighbour exists, while an outlier disagrees with every
     neighbour.
 
-    The per-neighbour slack absorbs sensor noise plus, when a coarse depth
-    map is supplied, the disagreement explained by local scene structure
-    (gradient magnitude times neighbour distance), so measurements on
-    slopes and near boundaries are not mistaken for outliers. A measurement
-    with no neighbours at all keeps full confidence, since there is no
-    evidence against it. Invalid pixels get 0.
+    The per-neighbour slack absorbs sensor noise (``AGREEMENT_SLACK`` m)
+    plus, when a coarse depth map is supplied, the disagreement explained by
+    local scene structure (``GRADIENT_SLACK`` times gradient magnitude times
+    neighbour distance), so measurements on slopes and near boundaries are
+    not mistaken for outliers. A measurement with no neighbours at all keeps
+    full confidence, since there is no evidence against it. Invalid pixels
+    get 0.
     """
     min_neighbors = count(min_neighbors, "min_neighbors")
     max_radius = count(max_radius, "max_radius", 1)
@@ -79,12 +81,10 @@ def heuristic_confidence(
     mask = binary_mask(m)
     values = single_channel(ds, "sparse map")
     h, w = values.shape
-    gmag = None
+    gmag = np.zeros((h, w))  # no coarse map: the noise slack alone
     if coarse is not None:
         pad = np.pad(single_channel(coarse, "coarse map"), 1, mode="edge")
-        gmag = (
-            np.abs(pad[1:-1, 2:] - pad[1:-1, :-2]) + np.abs(pad[2:, 1:-1] - pad[:-2, 1:-1])
-        ) / 2.0
+        gmag = (np.abs(pad[1:-1, 2:] - pad[1:-1, :-2]) + np.abs(pad[2:, 1:-1] - pad[:-2, 1:-1])) / 2.0
     out = np.zeros((h, w))
     ys, xs = np.nonzero(mask)
 
@@ -114,7 +114,7 @@ def heuristic_confidence(
     stride = w + 2 * max_radius
     centre = (ys + max_radius) * stride + xs + max_radius
     own = values[ys, xs]
-    grad_slack = None if gmag is None else gradient_slack * gmag[ys, xs]
+    grad_slack = GRADIENT_SLACK * gmag[ys, xs]
     score = np.full(ys.size, np.inf)
     for ring in range(1, max_radius + 1):
         k = np.count_nonzero(radius >= ring)
@@ -124,9 +124,7 @@ def heuristic_confidence(
                     continue
                 nb = centre[:k] + (dy * stride + dx)
                 hit = np.flatnonzero(padded_mask[nb] == 1.0)
-                slack = agreement_slack
-                if grad_slack is not None:
-                    slack = agreement_slack + grad_slack[hit] * np.sqrt(dy**2.0 + dx**2.0)
+                slack = AGREEMENT_SLACK + grad_slack[hit] * np.sqrt(dy**2.0 + dx**2.0)
                 term = np.abs(padded_values[nb[hit]] - own[hit]) - slack
                 score[hit] = np.minimum(score[hit], term)
     out[ys, xs] = np.exp(-np.maximum(score, 0.0) / cfg.gamma)

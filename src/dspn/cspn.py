@@ -57,7 +57,7 @@ class AffinityStencilField:
     @classmethod
     def uniform(cls, width: int, height: int, kernel_size: int = 3) -> "AffinityStencilField":
         n = check_kernel_size(kernel_size) ** 2 - 1
-        return cls(kernel_size, np.ones((count(height, "height", 1), count(width, "width", 1), n)))
+        return cls(kernel_size, np.broadcast_to(1.0, (count(height, "height", 1), count(width, "width", 1), n)))
 
 
 @dataclass

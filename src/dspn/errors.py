@@ -28,7 +28,7 @@ class InvalidMask(DspnError):
 
 
 class InvalidConfig(DspnError):
-    """A configuration value or count is not whole or violates its documented range."""
+    """A setting, spec field or count has the wrong type or violates its documented range."""
 
 
 class InvalidConfidence(DspnError):
@@ -49,10 +49,6 @@ class InvalidState(DspnError):
 
 class Diverged(DspnError):
     """Gradient descent produced a non-finite loss."""
-
-
-class InvalidSpec(DspnError):
-    """Scene or sparsity specification violates its invariants."""
 
 
 class EmptySparse(DspnError):

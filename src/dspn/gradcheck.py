@@ -10,7 +10,6 @@ parameters.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .deformable import (
     refine_forward_batched,
 )
 from .errors import Diverged, DspnError, InvalidConfig, InvalidState, NonFiniteLoss, ShapeMismatch
-from .grid import Grid, count, edge_pad, fractions, position_gradient, single_channel
+from .grid import Grid, count, edge_pad, fractions, position_gradient, real, single_channel
 from .metrics import LossWeights, valid_gt
 from .synth import build_features
 
@@ -43,7 +42,7 @@ def finite_diff_grad(loss_fn, params: dict, eps: float = 1e-4) -> dict:
     shapes of ``params``. ``loss_fn`` gets one probe dict whose arrays are
     changed in place between calls, so it must not keep references to them.
     """
-    if eps <= 0.0:
+    if real(eps, "eps") <= 0.0:
         raise InvalidConfig(f"eps must be positive, got {eps}")
     probe = {name: np.array(arr, dtype=np.float64, order="C") for name, arr in params.items()}
     grads = {}
@@ -357,8 +356,8 @@ def toy_fit(
         raise InvalidConfig("toy_fit needs at least one scene")
     steps = count(steps, "steps", 1)
     iters = count(iters, "iteration count")
-    if not (isinstance(lr, numbers.Real) and np.isfinite(lr) and lr >= 0.0):
-        raise InvalidConfig(f"lr must be a finite real >= 0, got {lr!r}")
+    if real(lr, "lr") < 0.0:
+        raise InvalidConfig(f"lr must be >= 0, got {lr}")
     weight = (weights or LossWeights()).refined
 
     params = init

@@ -9,6 +9,8 @@ All arithmetic is 64-bit internally; file I/O may narrow to 32-bit.
 
 from __future__ import annotations
 
+import contextlib
+import math
 import operator
 from typing import NamedTuple
 
@@ -69,7 +71,7 @@ class Grid:
     @classmethod
     def full(cls, width: int, height: int, value: float, channels: int = 1) -> "Grid":
         shape = (count(height, "height", 1), count(width, "width", 1), count(channels, "channels", 1))
-        return cls(np.full(shape, float(value)))
+        return cls(np.full(shape, real(value, "fill value")))
 
     def __repr__(self) -> str:
         return f"Grid(width={self.width}, height={self.height}, channels={self.channels})"
@@ -102,14 +104,22 @@ def check_feature_channels(F: Grid, params) -> None:
 
 def count(value, name: str, low: int = 0) -> int:
     """A whole number at least ``low``, as an int: Python and numpy integers
-    pass, as in :func:`operator.index`, and floats do not."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise InvalidConfig(f"{name} must be a whole number, got {value!r}") from None
+    pass, as in :func:`operator.index`, and floats and bools do not."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise InvalidConfig(f"{name} must be a whole number, got {value!r}")
+    value = operator.index(value)
     if value < low:
         raise InvalidConfig(f"{name} must be >= {low}, got {value}")
     return value
+
+
+def real(value, name: str) -> float:
+    """A finite real as a float: Python and numpy integers and floats pass, bools do not."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # a Python int beyond the float range
+            if math.isfinite(value):
+                return float(value)
+    raise InvalidConfig(f"{name} must be a finite real, got {value!r}")
 
 
 def one_of(value, name: str, allowed: tuple) -> str:

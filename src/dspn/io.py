@@ -5,8 +5,8 @@ width*height*channels little-endian float32 values in row-major (y, x, c)
 order. Values widen to float64 in memory.
 
 PGM: binary "P5" with maxval 65535 and big-endian 16-bit samples. Raw
-values convert to depth as raw / scale (KITTI convention scale 256, so raw
-256 is one metre); raw 0 means "missing" and stays depth 0.
+values convert to depth as raw / DEPTH_SCALE (256, KITTI's convention, so
+raw 256 is one metre); raw 0 means "missing" and stays depth 0.
 
 :func:`read_grid` reads either format, told apart by the file's first
 bytes, so a file's name never decides how it is read.
@@ -55,10 +55,10 @@ def read_grd(path) -> Grid:
         raise CorruptFile(f"{path}: payload contains non-finite values") from exc
 
 
-def write_pgm16(g: Grid, path, scale: float = DEPTH_SCALE) -> None:
+def write_pgm16(g: Grid, path) -> None:
     if g.channels != 1:
         raise UnsupportedFormat("PGM stores single-channel grids only")
-    raw = np.clip(np.round(g.channel(0) * scale), 0, PGM_MAXVAL).astype(">u2")
+    raw = np.clip(np.round(g.channel(0) * DEPTH_SCALE), 0, PGM_MAXVAL).astype(">u2")
     with open(path, "wb") as f:
         f.write(f"P5\n{g.width} {g.height}\n{PGM_MAXVAL}\n".encode("ascii"))
         f.write(raw.tobytes())
@@ -81,7 +81,7 @@ def _pgm_tokens(blob: bytes, count: int):
     return tokens, pos
 
 
-def read_pgm16(path, scale: float = DEPTH_SCALE) -> Grid:
+def read_pgm16(path) -> Grid:
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 2 or blob[:2] != b"P5":
@@ -101,7 +101,7 @@ def read_pgm16(path, scale: float = DEPTH_SCALE) -> Grid:
     if len(blob) - offset != expected:
         raise CorruptFile(f"{path}: payload is {len(blob) - offset} bytes, expected {expected}")
     raw = np.frombuffer(blob, dtype=">u2", offset=offset).reshape(height, width)
-    return Grid(raw.astype(np.float64) / scale)
+    return Grid(raw.astype(np.float64) / DEPTH_SCALE)
 
 
 def read_grid(path) -> Grid:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGroundTruth, InvalidConfig
-from .grid import Grid, check_same_shape, single_channel
+from .grid import Grid, check_same_shape, real, single_channel
 
 # metre floor applied to predictions before inversion; KITTI ground truth is
 # always positive so only predictions need it
@@ -36,8 +36,8 @@ class LossWeights:
     refined: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.refined) and self.refined >= 0.0):
-            raise InvalidConfig(f"loss weight refined must be finite and >= 0, got {self.refined}")
+        if real(self.refined, "loss_weights.refined") < 0.0:
+            raise InvalidConfig(f"loss_weights.refined must be >= 0, got {self.refined}")
 
 
 def valid_gt(gt: Grid | None) -> np.ndarray:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confidence import ConfidenceConfig, heuristic_confidence
-from .errors import EmptySparse, InvalidGrid, InvalidSpec
-from .grid import Grid, binary_mask, check_same_shape, count, single_channel
+from .errors import EmptySparse, InvalidConfig, InvalidGrid
+from .grid import Grid, binary_mask, check_same_shape, count, one_of, real, single_channel
 
 SCENE_KINDS = ("plane", "step", "slope", "sphere-cap", "composite")
 
@@ -31,12 +31,11 @@ class SceneSpec:
     depth_max: float = 10.0
 
     def __post_init__(self):
-        if self.kind not in SCENE_KINDS:
-            raise InvalidSpec(f"unknown scene kind {self.kind!r}")
-        if self.width < 8 or self.height < 8:
-            raise InvalidSpec(f"scene dimensions must be >= 8, got {self.width}x{self.height}")
-        if not (0.0 < self.depth_min <= self.depth_max) or not np.isfinite(self.depth_max):
-            raise InvalidSpec(f"bad depth range [{self.depth_min}, {self.depth_max}]")
+        one_of(self.kind, "scene kind", SCENE_KINDS)
+        count(self.width, "scene width", 8)
+        count(self.height, "scene height", 8)
+        if not 0.0 < real(self.depth_min, "depth_min") <= real(self.depth_max, "depth_max"):
+            raise InvalidConfig(f"bad depth range [{self.depth_min}, {self.depth_max}]")
 
 
 @dataclass
@@ -47,12 +46,12 @@ class SparseSpec:
     outlier_sigma: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.density <= 1.0:
-            raise InvalidSpec(f"density must be in (0, 1], got {self.density}")
-        if self.noise_sigma < 0.0 or self.outlier_sigma < 0.0:
-            raise InvalidSpec("noise sigmas must be >= 0")
-        if not 0.0 <= self.outlier_fraction < 1.0:
-            raise InvalidSpec(f"outlier fraction must be in [0, 1), got {self.outlier_fraction}")
+        if not 0.0 < real(self.density, "density") <= 1.0:
+            raise InvalidConfig(f"density must be in (0, 1], got {self.density}")
+        if real(self.noise_sigma, "noise_sigma") < 0.0 or real(self.outlier_sigma, "outlier_sigma") < 0.0:
+            raise InvalidConfig("noise sigmas must be >= 0")
+        if not 0.0 <= real(self.outlier_fraction, "outlier_fraction") < 1.0:
+            raise InvalidConfig(f"outlier fraction must be in [0, 1), got {self.outlier_fraction}")
 
 
 def _coords(spec: SceneSpec):

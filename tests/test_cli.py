@@ -46,19 +46,23 @@ def _refuse_scenes(cfg):
 
 
 def _config_keys(cls=RunConfig, prefix=""):
-    """(dotted key, type) for every field; sections come as (key, dict)."""
+    """(dotted key, type, owning section) for every field; sections come as
+    (key, dict, owner)."""
     kinds = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
         kind = kinds[f.name]
         if dataclasses.is_dataclass(kind):
-            yield prefix + f.name, dict
+            yield prefix + f.name, dict, cls
             yield from _config_keys(kind, prefix + f.name + ".")
         else:
-            yield prefix + f.name, kind
+            yield prefix + f.name, kind, cls
 
 
 # the sub-command sets mode, so a drawn mode would never reach the builder
-CONFIG_KEYS = [(key, kind) for key, kind in _config_keys() if key != "mode"]
+CONFIG_KEYS = [(key, kind) for key, kind, _ in _config_keys() if key != "mode"]
+# (owning section, field name, dotted key) of every real-valued setting
+REAL_SETTINGS = [(cls, key.rpartition(".")[2], key) for key, kind, cls in _config_keys() if kind is float]
+NOT_FINITE_REALS = [float("nan"), float("inf"), float("-inf"), "x", None, True]
 WRONG_TYPES = st.one_of(
     st.booleans(), st.none(), st.text(max_size=4), st.lists(st.integers(), max_size=2),
     st.floats(allow_nan=True, allow_infinity=True),
@@ -136,6 +140,25 @@ class TestConfig:
         monkeypatch.setattr(cli, "build_suite", _refuse_scenes)
         assert main(["eval", "--set", override]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_every_real_setting_is_walked(self):
+        assert sorted(key for _, _, key in REAL_SETTINGS) == [
+            "gamma", "gradcheck_eps", "gradcheck_tol", "loss_weights.refined", "scene.depth_max",
+            "scene.depth_min", "sparse.density", "sparse.noise_sigma", "sparse.outlier_fraction",
+            "sparse.outlier_sigma", "train.lr",
+        ]
+
+    @pytest.mark.parametrize("value", NOT_FINITE_REALS, ids=repr)
+    @pytest.mark.parametrize("section,name,key", REAL_SETTINGS, ids=[key for _, _, key in REAL_SETTINGS])
+    def test_real_setting_that_is_not_a_finite_real_is_rejected_by_its_section(self, section, name, key, value):
+        with pytest.raises(InvalidConfig, match=name):
+            section(**{name: value})
+
+    @pytest.mark.parametrize("key", [key for _, _, key in REAL_SETTINGS])
+    def test_nan_real_setting_exits_2_before_any_work(self, key, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_suite", _refuse_scenes)
+        assert main(["eval", "--set", f"{key}=NaN"]) == 2
+        assert key.split(".")[-1] in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["gradcheck", "eval"])
     @pytest.mark.parametrize("eps", ["0", "-1"])

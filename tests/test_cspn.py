@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,20 @@ class TestStep:
         out = cspn_step(Grid(values), st)
         assert np.array_equal(st.weights, normalize_stencil(original).weights)
         assert np.abs(out.channel(0) - cspn_step_ref(values, original, 3)).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_uniform_field_peaks_at_its_weights(self, k):
+        # the uniform raw stencil is a broadcast constant: building the field
+        # allocates one per-tap array at a time (the absolute values, then
+        # the weights) plus per-pixel maps, so it peaks below 1.5x the weights
+        tracemalloc.start()
+        try:
+            st = AffinityStencilField.uniform(608, 176, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(st.weights == 1.0 / (k * k - 1))
+        assert peak < 1.5 * st.weights.nbytes
 
     def test_k5_matches_scalar_oracle(self):
         values, raw = rand_instance(77, h=7, w=6, k=5)

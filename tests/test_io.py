@@ -163,11 +163,6 @@ class TestPgm16:
         with pytest.raises(CorruptFile):
             read_pgm16(path)
 
-    def test_custom_scale(self, tmp_path):
-        path = tmp_path / "s.pgm"
-        write_pgm16(Grid([[2.0]]), path, scale=512.0)
-        assert read_pgm16(path, scale=512.0).channel(0)[0, 0] == 2.0
-
     @pytest.mark.parametrize("blob, error", [
         (_pgm(b"P5", -2, -2), CorruptFile),
         (_pgm(b"P5", 0, 0), CorruptFile),

@@ -12,7 +12,7 @@ from dspn import (
     gen_scene,
     sample_sparse,
 )
-from dspn.errors import EmptySparse, InvalidMask, InvalidSpec, ShapeMismatch
+from dspn.errors import EmptySparse, InvalidConfig, InvalidMask, ShapeMismatch
 from dspn.synth import _nearest_valid_fill, box_blur3, build_scene, prepare_scene, suite_seeds
 
 from oracles import coarse_predict_ref, nearest_fill_ref
@@ -51,15 +51,15 @@ class TestScenes:
         assert vals.min() >= 1.5 and vals.max() <= 8.0
 
     def test_invalid_specs_rejected(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidConfig):
             SceneSpec("plane", 4, 16, 1.0, 2.0)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidConfig):
             SceneSpec("plane", 16, 16, -1.0, 2.0)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidConfig):
             SceneSpec("tetrahedron", 16, 16, 1.0, 2.0)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidConfig):
             SparseSpec(density=0.0)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidConfig):
             SparseSpec(outlier_fraction=1.0)
 
 

@@ -2,12 +2,12 @@
 malformed operand, expected error class).
 
 Every row is an input that each rule in ``dspn.grid`` rejects: a count that
-is not a whole number or lies below its floor, a name outside its choices,
-a pixel that is not an integer pair, a sampling position that is not a pair
-of reals, and a map with more than one channel where an operator reads one.
-The rest are rules of their own operators: a fit needs scenes and a real
-step size, a stencil a finite absolute sum, and a score or a fit ground
-truth.
+is not a whole number (a bool is none) or lies below its floor, a real
+setting that is not a finite real, a name outside its choices, a pixel that
+is not an integer pair, a sampling position that is not a pair of reals,
+and a map with more than one channel where an operator reads one. The rest
+are rules of their own operators: a fit needs scenes, a stencil a finite
+absolute sum, and a score or a fit ground truth.
 """
 
 import numpy as np
@@ -33,6 +33,7 @@ from dspn import (
     dspn_refine,
     dspn_step,
     eval_metrics,
+    finite_diff_grad,
     hard_replace,
     heuristic_confidence,
     neighbor_offsets,
@@ -42,11 +43,11 @@ from dspn import (
     soft_replace,
     toy_fit,
 )
-from dspn.cli import evaluate_suite, refine_scene
+from dspn.cli import RunConfig, TrainConfig, evaluate_suite, refine_scene
 from dspn.confidence import ConfidenceConfig
 from dspn.errors import EmptyGroundTruth, InvalidAffinity, InvalidConfig, InvalidPosition, ShapeMismatch
 from dspn.grid import binary_mask, unit_confidence
-from dspn.metrics import valid_gt
+from dspn.metrics import LossWeights, valid_gt
 from dspn.synth import build_scene
 
 RNG = np.random.default_rng(18)
@@ -67,6 +68,10 @@ PARAMS = FitParams(EmbeddingParams.init(4, 4, seed=0), OffsetEstimatorParams.ini
 
 def _fit(scenes=(SCENE,), **kwargs):
     return toy_fit(list(scenes), PARAMS, **{"lr": 0.1, "steps": 1, "iters": 1, **kwargs})
+
+
+def _fd(eps):
+    return finite_diff_grad(lambda p: float(p["a"].sum()), {"a": np.zeros(2)}, eps=eps)
 
 
 CONTRACT = [
@@ -109,6 +114,22 @@ CONTRACT = [
     ("AffinityStencilField.uniform-float-width", lambda: AffinityStencilField.uniform(4.0, 4, 3), InvalidConfig),
     ("AffinityStencilField.uniform-negative-height",
      lambda: AffinityStencilField.uniform(4, -2, 3), InvalidConfig),
+    ("OffsetField.zeros-bool-width", lambda: OffsetField.zeros(True, 4), InvalidConfig),
+    ("Grid.full-bool-channels", lambda: Grid.full(4, 4, 1.0, True), InvalidConfig),
+    ("SceneSpec-float-width", lambda: SceneSpec(width=8.5), InvalidConfig),
+    # a real setting is a finite real
+    ("TrainConfig-nan-lr", lambda: TrainConfig(lr=float("nan")), InvalidConfig),
+    ("TrainConfig-inf-lr", lambda: TrainConfig(lr=float("inf")), InvalidConfig),
+    ("TrainConfig-text-lr", lambda: TrainConfig(lr="x"), InvalidConfig),
+    ("SparseSpec-nan-noise-sigma", lambda: SparseSpec(noise_sigma=float("nan")), InvalidConfig),
+    ("SparseSpec-inf-outlier-sigma", lambda: SparseSpec(outlier_sigma=float("inf")), InvalidConfig),
+    ("SparseSpec-text-density", lambda: SparseSpec(density="x"), InvalidConfig),
+    ("RunConfig-inf-gradcheck-eps", lambda: RunConfig(gradcheck_eps=float("inf")), InvalidConfig),
+    ("ConfidenceConfig-text-gamma", lambda: ConfidenceConfig("1"), InvalidConfig),
+    ("LossWeights-none-refined", lambda: LossWeights(None), InvalidConfig),
+    ("Grid.full-text-value", lambda: Grid.full(4, 4, "x"), InvalidConfig),
+    ("finite_diff_grad-nan-eps", lambda: _fd(float("nan")), InvalidConfig),
+    ("finite_diff_grad-text-eps", lambda: _fd("x"), InvalidConfig),
     # a choice is one of its names
     ("refine_scene-unknown-replacement", lambda: refine_scene(SCENE, "dspn", 3, 3, PARAMS, "foo"), InvalidConfig),
     ("refine_scene-unknown-method", lambda: refine_scene(SCENE, "foo", 0, 3), InvalidConfig),
