@@ -34,17 +34,35 @@ whose temporaries stay in cache; the estimator's conv forward walks bands
 of about BAND_TAPS input values. Banding changes no pixel's arithmetic, so
 the outputs are the same for any band height; a 64x64 training scene is one
 step band at k=3 and four at k=5.
+
+The affinity's and the steps' bands share the process's cores: the calling
+thread works through them together with one helper thread per further core
+it may run on (``os.sched_getaffinity``, else ``os.cpu_count``), at most
+MAX_HELPERS of them, from one pool started by the first call with
+SHARED_BANDS or more bands. numpy releases the interpreter lock in the
+gathers, blends and GEMMs a band runs. Each band writes only its own rows
+of the outputs and keeps its own scratch, and the band plan depends only on
+the shape, so every output is bit-identical for any number of cores; the
+cap on helpers keeps the scratch in flight, and so the affinity's peak, the
+same on any host with four or more cores. A map of fewer than SHARED_BANDS
+bands, such as every 64x64 map at k = 3 or 5, runs on the calling thread
+alone. A band calls no other layer function: only the taps' methods, the
+embedding and corner-product helpers and numpy. The conv forward and every
+backward pass run on the calling thread.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .cspn import check_kernel_size, neighbor_offsets
-from .errors import InvalidConfig, ShapeMismatch
+from .errors import ShapeMismatch
 from .grid import (
     ContinuousPos,
     Grid,
@@ -57,6 +75,7 @@ from .grid import (
     edge_pad,
     pixel_index,
     position_gradient,
+    real_array,
     sample_positions,
     single_channel,
     unit_confidence,
@@ -74,11 +93,9 @@ class OffsetField:
 
     def __init__(self, kernel_size: int, delta):
         n = check_kernel_size(kernel_size) ** 2 - 1
-        arr = np.asarray(delta, dtype=np.float64)
+        arr = real_array(delta, "offset field")
         if arr.ndim != 4 or arr.shape[2] != n or arr.shape[3] != 2:
             raise ShapeMismatch(f"expected offsets of shape (h, w, {n}, 2), got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise InvalidConfig("offset field contains NaN or Inf")
         self.kernel_size = kernel_size
         self.delta = arr
 
@@ -104,14 +121,12 @@ class EmbeddingParams:
     g_phi: np.ndarray
 
     def __post_init__(self):
-        self.g_theta = np.asarray(self.g_theta, dtype=np.float64)
-        self.g_phi = np.asarray(self.g_phi, dtype=np.float64)
+        self.g_theta = real_array(self.g_theta, "g_theta")
+        self.g_phi = real_array(self.g_phi, "g_phi")
         if self.g_theta.ndim != 2 or self.g_theta.shape != self.g_phi.shape:
             raise ShapeMismatch(
                 f"embedding matrices must share one 2-D shape, got {self.g_theta.shape} and {self.g_phi.shape}"
             )
-        if not (np.isfinite(self.g_theta).all() and np.isfinite(self.g_phi).all()):
-            raise InvalidConfig("embedding matrices contain NaN or Inf")
 
     @property
     def feature_channels(self) -> int:
@@ -157,12 +172,12 @@ class OffsetEstimatorParams:
     __slots__ = ("w1", "b1", "w2", "b2", "w3", "b3", "kernel_size")
 
     def __init__(self, w1, b1, w2, b2, w3, b3, kernel_size: int):
-        self.w1 = np.asarray(w1, dtype=np.float64)
-        self.b1 = np.asarray(b1, dtype=np.float64)
-        self.w2 = np.asarray(w2, dtype=np.float64)
-        self.b2 = np.asarray(b2, dtype=np.float64)
-        self.w3 = np.asarray(w3, dtype=np.float64)
-        self.b3 = np.asarray(b3, dtype=np.float64)
+        self.w1 = real_array(w1, "w1")
+        self.b1 = real_array(b1, "b1")
+        self.w2 = real_array(w2, "w2")
+        self.b2 = real_array(b2, "b2")
+        self.w3 = real_array(w3, "w3")
+        self.b3 = real_array(b3, "b3")
         self.kernel_size = kernel_size
         n_out = 2 * (check_kernel_size(kernel_size) ** 2 - 1)
         shapes_ok = (
@@ -176,9 +191,6 @@ class OffsetEstimatorParams:
         )
         if not shapes_ok:
             raise ShapeMismatch("offset estimator layer shapes do not chain")
-        for arr in (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3):
-            if not np.isfinite(arr).all():
-                raise InvalidConfig("offset estimator parameters contain NaN or Inf")
 
     @property
     def feature_channels(self) -> int:
@@ -431,6 +443,87 @@ def _row_bands(height: int, width: int, n: int):
         yield slice(top, min(top + rows, height))
 
 
+# Helper threads a band runner keeps at most. Every band in flight holds its
+# own scratch, so this cap, not the host's core count, bounds the affinity's
+# traced peak: four bands' scratch (about 5.1 MB at 608x176) stay within the
+# one step band that its budget charges (256 B per step-band tap, 7.5 MB)
+MAX_HELPERS = 3
+
+# Bands a map needs before its runner hands any to a helper. A handoff costs
+# each call about what a few bands gain: with one helper on two cores, a
+# 64x64 map's affinity at k = 3 (2 bands) and k = 5 (7 bands) ran 5-8%
+# slower, at k = 7 (13 bands) and on 128x128 at k = 3 (8 bands) 25% faster
+SHARED_BANDS = 8
+
+
+class _BandRunner:
+    """Runs a map's row bands on the calling thread and up to ``helpers``
+    threads (at most MAX_HELPERS) of one pool, which it starts on first use
+    (again in a forked child, which inherits the pool but not its threads)."""
+
+    def __init__(self, helpers: int):
+        self.helpers = min(helpers, MAX_HELPERS)
+        self._lock = threading.Lock()
+        self._pool = None
+        self._owner = None  # the process whose threads the pool holds
+
+    def run(self, bands, body) -> None:
+        """Call ``body(band)`` once for every band. Each thread takes the
+        next band as it comes free; with fewer than SHARED_BANDS bands, or
+        no helpers, the calling thread runs them all. Returns once every
+        band has run, then re-raises the first exception a band raised: the
+        calling thread's own, else the first failed helper's."""
+        bands = list(bands)
+        if len(bands) < SHARED_BANDS or self.helpers < 1:
+            for band in bands:
+                body(band)
+            return
+        todo = iter(bands)
+        taking = threading.Lock()
+
+        def work():
+            while True:
+                with taking:
+                    band = next(todo, None)
+                if band is None:
+                    return
+                body(band)
+
+        pool = self._started()
+        futures = [pool.submit(work) for _ in range(min(self.helpers, len(bands) - 1))]
+        try:
+            work()
+        finally:
+            wait(futures)
+        for future in futures:
+            future.result()
+
+    def _started(self) -> ThreadPoolExecutor:
+        with self._lock:
+            if self._owner != os.getpid():
+                self._pool = ThreadPoolExecutor(self.helpers, thread_name_prefix="dspn-band")
+                self._owner = os.getpid()
+            return self._pool
+
+    def close(self) -> None:
+        """Stop the pool's threads; a later multi-band call starts new ones."""
+        with self._lock:
+            if self._pool is not None:
+                self._pool.shutdown()
+            self._pool = self._owner = None
+
+
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+_RUNNER = _BandRunner(_cores() - 1)  # the affinity's and the steps' band runner
+
+
 def _matmul_last(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     """x @ m.T over the trailing axis via one BLAS call."""
     lead = x.shape[:-1]
@@ -483,11 +576,8 @@ def _affinity_at(F: np.ndarray, f_self: np.ndarray, positions, n: int, emb: Embe
     keys = edge_pad(_matmul_last(F, emb.g_phi))
     w_nb = np.empty(taps.index.shape)
     w_self = np.empty((s, h, w))
-    # a band's scratch here (fractions, corner products, one corner's key
-    # read) is about twice a step's per tap, so the affinity walks bands of
-    # half as many taps; freeing twice a step band's scratch on every call
-    # lets malloc return it to the system and fault it in again next call
-    for band in _row_bands(h, w, 2 * n):
+
+    def fill(band):
         part = taps.rows(band)
         q, k_self = _embed(f_self[:, band], emb)
         logit_self = (q * k_self).sum(axis=-1) / scale
@@ -502,6 +592,12 @@ def _affinity_at(F: np.ndarray, f_self: np.ndarray, positions, n: int, emb: Embe
         z = e_nb.sum(axis=-1) + e_self
         np.divide(e_nb, z[..., np.newaxis], out=w_nb[:, band])
         np.divide(e_self, z, out=w_self[:, band])
+
+    # a band's scratch here (fractions, corner products, one corner's key
+    # read) is about twice a step's per tap, so the affinity walks bands of
+    # half as many taps; freeing twice a step band's scratch on every call
+    # lets malloc return it to the system and fault it in again next call
+    _RUNNER.run(_row_bands(h, w, 2 * n), fill)
     return AffinityState(
         scale=scale, taps=taps, w_nb=w_nb, w_self=w_self,
         F=f_self, stack=F, emb=emb, positions=positions,
@@ -543,20 +639,21 @@ def dspn_step_forward(h_arr: np.ndarray, aff: AffinityState) -> np.ndarray:
     Difference form keeps the convex-combination bound exact: with the self
     weight strictly positive the neighbour weights sum to strictly less
     than 1, so the output cannot escape [min, max] of the sampled values.
-    The step walks row bands (see :func:`_row_bands`), sampling each band's
-    neighbours into one band-sized scratch; every pixel's arithmetic is the
-    same as in one pass over the whole map.
+    The step walks row bands (see :func:`_row_bands`) on the process's
+    cores, sampling each band's neighbours into a scratch of its own; every
+    pixel's arithmetic is the same as in one pass over the whole map.
     """
     out = np.empty_like(h_arr)
     padded = edge_pad(h_arr)
-    bands = list(_row_bands(*h_arr.shape[1:], aff.w_nb.shape[3]))
-    scratch = np.empty(aff.w_nb[:, bands[0]].shape)
-    for band in bands:
+
+    def step(band):
         here = h_arr[:, band]
-        nb = aff.taps.rows(band).sample(padded, out=scratch[:, : here.shape[1]])
+        nb = aff.taps.rows(band).sample(padded)
         nb -= here[..., np.newaxis]
         np.einsum("shwn,shwn->shw", aff.w_nb[:, band], nb, out=out[:, band])
         out[:, band] += here
+
+    _RUNNER.run(_row_bands(*h_arr.shape[1:], aff.w_nb.shape[3]), step)
     return out
 
 

@@ -122,6 +122,16 @@ def real(value, name: str) -> float:
     raise InvalidConfig(f"{name} must be a finite real, got {value!r}")
 
 
+def real_array(value, name: str) -> np.ndarray:
+    """An array of finite reals as float64: the rule for parameter arrays
+    (offsets, embeddings, estimator weights). A map's values follow the same
+    rule in :class:`Grid`, which raises InvalidGrid instead."""
+    arr = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise InvalidConfig(f"{name} contains NaN or Inf")
+    return arr
+
+
 def one_of(value, name: str, allowed: tuple) -> str:
     """A name from ``allowed``, the strings a choice (a mode, a refinement
     method, a replacement) may take."""

@@ -385,6 +385,14 @@ class TestCompleteContract:
         assert aff.w_nb.shape == (1, h, w, n)
         assert peak <= state + keys + 256 * band_taps
 
+    @pytest.mark.parametrize("helpers", [0, 1, 3, 7])
+    def test_affinity_peak_is_the_same_for_any_helper_count(self, runner, helpers):
+        # every affinity band in flight holds its own scratch, about 1.3 MB
+        # here, so the budget above holds on any host only because a runner
+        # keeps at most MAX_HELPERS helpers; seven would overshoot it
+        assert runner(helpers).helpers == min(helpers, deformable.MAX_HELPERS)
+        self.test_affinity_peak_is_its_state_plus_one_band()
+
     def test_backward_peak_is_its_arrays_plus_one_band(self):
         # one dspn_backward of a 6-step refine at 176x608, k=3, traced. Its
         # peak is the feature-space gradient's corner loop: per tap, the

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -16,12 +21,13 @@ from dspn import (
     dspn_step,
     offset_estimator,
 )
-from dspn import deformable
+from dspn import cspn, deformable, grid
 from dspn.deformable import (
     affinity_forward,
     affinity_forward_batched,
     conv3x3_replicate,
     conv3x3_replicate_backward,
+    dspn_step_forward,
     refine_forward_batched,
 )
 from dspn.errors import InvalidPosition, ShapeMismatch
@@ -376,6 +382,186 @@ class TestBands:
         # times the taps per row, so it splits
         assert len(list(deformable._row_bands(64, 64, k * k - 1))) == bands
         assert len(list(deformable._row_bands(176, 608, 8))) == 30  # 6 rows each
+
+
+class TestCores:
+    """The affinity's and the steps' bands share the process's cores: the
+    outputs are bit-identical for any number of helper threads, and no layer
+    that a tracer may wrap runs off the calling thread."""
+
+    @staticmethod
+    def _outputs(k):
+        # TestBands' shape, 2 scenes of 7 rows of 5 pixels; the tests set the bands
+        s, h, w, n = 2, 7, 5, k * k - 1
+        rng = np.random.default_rng(60 + k)
+        feats = rng.uniform(0.0, 1.0, (s, h, w, 4))
+        delta = rng.uniform(-1.5, 1.5, (s, h, w, n, 2))
+        emb = EmbeddingParams(rng.normal(0.0, 0.4, (4, 4)), rng.normal(0.0, 0.4, (4, 4)))
+        maps = rng.uniform(0.0, 10.0, (3, s, h, w))
+        aff = affinity_forward_batched(feats, delta, emb, k)
+        refined = dspn_refine(
+            Grid(maps[0, 0]), Grid(maps[1, 0]), Grid((maps[2, 0] < 3.0).astype(np.float64)),
+            Grid(maps[2, 0] / 10.0), Grid(feats[0]), OffsetField(k, delta[0]), emb, 3,
+        )
+        return {
+            "w_nb": aff.w_nb, "w_self": aff.w_self, "taps.index": aff.taps.index,
+            "taps.weights": aff.taps.weights, "step": dspn_step_forward(maps[0], aff),
+            "refined": refined.data,
+        }
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_worker_count_changes_nothing(self, monkeypatch, runner, k):
+        monkeypatch.setattr(deformable, "BAND_TAPS", 5 * (k * k - 1))
+        runs = {}
+        for helpers in (0, 1, 3):
+            runner(helpers)
+            runs[helpers] = self._outputs(k)
+        for helpers in (1, 3):
+            for name, arr in runs[0].items():
+                assert np.array_equal(runs[helpers][name], arr), (helpers, name)
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch, runner):
+        # every band writes rows that start out as np.empty garbage, so a
+        # band lost or run twice into another's rows breaks the equality;
+        # the rounds run on a thread of their own, joined with a timeout.
+        # The cap on helpers bounds memory, not correctness, so it is lifted
+        monkeypatch.setattr(deformable, "BAND_TAPS", 5 * 8)
+        runner(0)
+        want = self._outputs(3)
+        helpers = 2 * os.cpu_count() + 1
+        monkeypatch.setattr(deformable, "MAX_HELPERS", helpers)
+        assert runner(helpers).helpers == helpers
+        results, done = [], []
+
+        def rounds():
+            deadline = time.monotonic() + 2.0
+            while len(results) < 50 and (len(results) < 3 or time.monotonic() < deadline):
+                results.append(self._outputs(3))
+            done.append(True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=rounds)
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive() and done
+        for got in results:
+            for name, arr in want.items():
+                assert np.array_equal(got[name], arr), name
+
+    def test_bands_reach_a_helper_and_layers_stay_on_the_caller(self, monkeypatch, runner):
+        # every layer function a tracer may wrap records its thread; so do
+        # the bands, through the taps' row views, and the caller's first
+        # band waits until a helper has taken one
+        caller = threading.get_ident()
+        layer_threads, band_threads = set(), set()
+        helper_took = threading.Event()
+
+        def recorded(fn):
+            def call(*args, **kwargs):
+                layer_threads.add(threading.get_ident())
+                return fn(*args, **kwargs)
+            return call
+
+        for owner, name in [
+            (deformable, "conv3x3_replicate"), (deformable, "offset_estimator_forward"),
+            (deformable, "affinity_forward_batched"), (deformable, "dspn_step_forward"),
+            (deformable, "refine_forward_batched"), (deformable, "dspn_refine_forward"),
+            (cspn, "cspn_step"), (cspn, "hard_replace"), (grid.Grid, "__init__"),
+        ]:
+            monkeypatch.setattr(owner, name, recorded(getattr(owner, name)))
+        rows = grid.Taps.rows
+
+        def rows_recorded(taps, band):
+            band_threads.add(threading.get_ident())
+            if threading.get_ident() == caller:
+                helper_took.wait(timeout=30)
+            else:
+                helper_took.set()
+            return rows(taps, band)
+
+        monkeypatch.setattr(grid.Taps, "rows", rows_recorded)
+        monkeypatch.setattr(deformable, "BAND_TAPS", 5 * 8)
+        runner(1)
+        self._outputs(3)
+        assert helper_took.is_set() and layer_threads == {caller}
+        assert caller in band_threads and len(band_threads) == 2
+
+    def test_a_helpers_exception_arrives_after_every_band(self, runner):
+        # the caller's first band waits until the helper's band has failed,
+        # so the caller still has bands to run when the exception is raised
+        bands = list(range(12))
+        finished, running, raised = [], [], []
+        helper_failed = threading.Event()
+
+        def body(band):
+            running.append(band)
+            if threading.get_ident() != caller and not raised:
+                raised.append(band)
+                running.remove(band)
+                helper_failed.set()
+                raise ValueError(f"band {band}")
+            if threading.get_ident() == caller:
+                helper_failed.wait(timeout=30)
+            finished.append(band)
+            running.remove(band)
+
+        caller = threading.get_ident()
+        with pytest.raises(ValueError, match=r"^band \d+$"):
+            runner(1).run(bands, body)
+        assert len(raised) == 1 and not running
+        assert sorted(finished + raised) == bands
+
+    @pytest.mark.parametrize("bands", [1, deformable.SHARED_BANDS - 1])
+    def test_a_map_of_few_bands_runs_on_the_caller_and_starts_no_thread(self, bands):
+        # below SHARED_BANDS a handoff costs more than it gains: every
+        # 64x64 affinity and step at k = 3 and 5 stays on the caller
+        assert len(list(deformable._row_bands(64, 64, 2 * 24))) < deformable.SHARED_BANDS
+        threads = []
+        r = deformable._BandRunner(3)
+        try:
+            r.run(range(bands), lambda band: threads.append(threading.get_ident()))
+            assert threads == [threading.get_ident()] * bands and r._pool is None
+        finally:
+            r.close()
+
+    @staticmethod
+    def _python(code):
+        """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{code}"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    def test_importing_the_package_starts_no_thread(self):
+        assert self._python("import threading, dspn.cli; print(threading.active_count())") == "1"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_a_forked_child_starts_helpers_of_its_own(self):
+        # the child inherits the started pool but not its threads; a
+        # multi-band step there must still finish, and give the same bits
+        code = (
+            "import os, signal, numpy as np\n"
+            "from dspn import deformable\n"
+            "deformable.BAND_TAPS, deformable.SHARED_BANDS = 40, 2\n"
+            "rng = np.random.default_rng(1)\n"
+            "feats, delta = rng.uniform(size=(1, 7, 5, 4)), rng.uniform(-1.5, 1.5, (1, 7, 5, 8, 2))\n"
+            "emb = deformable.EmbeddingParams(rng.normal(size=(4, 4)), rng.normal(size=(4, 4)))\n"
+            "want = deformable.affinity_forward_batched(feats, delta, emb, 3).w_nb\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(20)  # a child that hangs ends, and its status says so\n"
+            "    got = deformable.affinity_forward_batched(feats, delta, emb, 3).w_nb\n"
+            "    os._exit(0 if np.array_equal(got, want) else 3)\n"
+            "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+        )
+        assert self._python(code) == "0"
 
 
 class TestEstimator:

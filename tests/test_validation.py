@@ -3,7 +3,8 @@ malformed operand, expected error class).
 
 Every row is an input that each rule in ``dspn.grid`` rejects: a count that
 is not a whole number (a bool is none) or lies below its floor, a real
-setting that is not a finite real, a name outside its choices, a pixel that
+setting that is not a finite real, a parameter array with a NaN or an Inf,
+a name outside its choices, a pixel that
 is not an integer pair, a sampling position that is not a pair of reals,
 and a map with more than one channel where an operator reads one. The rest
 are rules of their own operators: a fit needs scenes, a stencil a finite
@@ -64,6 +65,12 @@ TWO = Grid(np.stack([np.ones((5, 5)), np.full((5, 5), 7.0)], axis=-1))
 SCENE = prepare_scene(SceneSpec("slope", 8, 8, 1.0, 5.0), SparseSpec(0.3), 1, 2)
 NO_GT = build_scene(None, SCENE.ds, SCENE.m)
 PARAMS = FitParams(EmbeddingParams.init(4, 4, seed=0), OffsetEstimatorParams.init(4, 4, 3, seed=0))
+
+
+NAN_OFFSETS = np.where(np.arange(8)[:, np.newaxis] == 5, np.nan, OFFSETS.delta)
+INF_G_PHI = np.where(np.eye(4) == 1.0, np.inf, EMB.g_phi)
+NAN_B2 = {name: getattr(PARAMS.estimator, name) for name in OffsetEstimatorParams.__slots__}
+NAN_B2["b2"] = np.array([0.0, np.nan, 0.0, 0.0])
 
 
 def _fit(scenes=(SCENE,), **kwargs):
@@ -130,6 +137,10 @@ CONTRACT = [
     ("Grid.full-text-value", lambda: Grid.full(4, 4, "x"), InvalidConfig),
     ("finite_diff_grad-nan-eps", lambda: _fd(float("nan")), InvalidConfig),
     ("finite_diff_grad-text-eps", lambda: _fd("x"), InvalidConfig),
+    # a parameter array holds finite reals
+    ("OffsetField-nan-offsets", lambda: OffsetField(3, NAN_OFFSETS), InvalidConfig),
+    ("EmbeddingParams-inf-g-phi", lambda: EmbeddingParams(EMB.g_theta, INF_G_PHI), InvalidConfig),
+    ("OffsetEstimatorParams-nan-b2", lambda: OffsetEstimatorParams(**NAN_B2), InvalidConfig),
     # a choice is one of its names
     ("refine_scene-unknown-replacement", lambda: refine_scene(SCENE, "dspn", 3, 3, PARAMS, "foo"), InvalidConfig),
     ("refine_scene-unknown-method", lambda: refine_scene(SCENE, "foo", 0, 3), InvalidConfig),
@@ -181,6 +192,17 @@ CONTRACT = [
 @pytest.mark.parametrize("call,error", [row[1:] for row in CONTRACT], ids=[row[0] for row in CONTRACT])
 def test_malformed_operand_raises_its_error(call, error):
     with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("row,operand", [
+    ("OffsetField-nan-offsets", "offset field"),
+    ("EmbeddingParams-inf-g-phi", "g_phi"),
+    ("OffsetEstimatorParams-nan-b2", "b2"),
+])
+def test_a_non_finite_parameter_array_is_named(row, operand):
+    call = next(call for name, call, _ in CONTRACT if name == row)
+    with pytest.raises(InvalidConfig, match=f"^{operand} contains NaN or Inf$"):
         call()
 
 
