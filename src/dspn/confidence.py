@@ -12,10 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .grid import Grid, binary_mask, check_same_shape, count, real, single_channel, unit_confidence
+from .grid import Grid, binary_mask, check_same_shape, gradient_magnitudes, real, single_channel, unit_confidence
 
 AGREEMENT_SLACK = 0.12
 GRADIENT_SLACK = 1.0
+# heuristic confidence's ring walk stops at the first ring that brings this
+# many neighbours, or after ring MAX_RADIUS
+MIN_NEIGHBORS = 3
+MAX_RADIUS = 8
 
 
 @dataclass
@@ -48,84 +52,51 @@ def soft_replace(H: Grid, Hs: Grid, m: Grid, M: Grid) -> Grid:
     return Grid((1.0 - a) * single_channel(H) + a * single_channel(Hs))
 
 
-def heuristic_confidence(
-    ds: Grid,
-    m: Grid,
-    cfg: ConfidenceConfig,
-    coarse: Grid | None = None,
-    min_neighbors: int = 3,
-    max_radius: int = 8,
-) -> Grid:
-    """Predicted-confidence stand-in from the sparse map alone.
+def heuristic_confidence(ds: Grid, m: Grid, cfg: ConfidenceConfig, coarse: Grid) -> Grid:
+    """Predicted-confidence stand-in: each measurement's best agreement with
+    its neighbours j, M = exp(-max(0, min_j(|Ds - Ds_j| - slack_j)) / gamma).
 
-    Each measurement is scored by how well it agrees with its best-matching
-    nearby measurement: M = exp(-max(0, min_j(|Ds - Ds_j| - slack_j)) / gamma).
-    The window grows from 3x3 until it holds ``min_neighbors`` other valid
-    pixels (or hits ``max_radius``, at least 1; ``min_neighbors`` 0 keeps
-    every window 3x3). Best-match agreement rather than the window median
-    keeps measurements near depth discontinuities trusted as long as one
-    same-surface neighbour exists, while an outlier disagrees with every
-    neighbour.
-
-    The per-neighbour slack absorbs sensor noise (``AGREEMENT_SLACK`` m)
-    plus, when a coarse depth map is supplied, the disagreement explained by
-    local scene structure (``GRADIENT_SLACK`` times gradient magnitude times
-    neighbour distance), so measurements on slopes and near boundaries are
-    not mistaken for outliers. A measurement with no neighbours at all keeps
-    full confidence, since there is no evidence against it. Invalid pixels
-    get 0.
+    The neighbours come from one walk over the Chebyshev rings r = 1, 2, ...
+    around the measurement, which stops after the first ring that brings
+    their count to ``MIN_NEIGHBORS``, or after ring ``MAX_RADIUS``. Best
+    match, not the median, keeps a measurement near a depth discontinuity
+    trusted while one same-surface neighbour exists; an outlier disagrees
+    with every neighbour. The slack absorbs sensor noise (``AGREEMENT_SLACK``
+    m) plus the disagreement the scene's slope explains (``GRADIENT_SLACK``
+    times the coarse map's gradient magnitude times the neighbour distance).
+    A measurement with no neighbour scores 1, as nothing speaks against it;
+    an invalid pixel scores 0.
     """
-    min_neighbors = count(min_neighbors, "min_neighbors")
-    max_radius = count(max_radius, "max_radius", 1)
     check_same_shape(sparse_map=ds, mask=m, coarse_map=coarse)
     mask = binary_mask(m)
     values = single_channel(ds, "sparse map")
-    h, w = values.shape
-    gmag = np.zeros((h, w))  # no coarse map: the noise slack alone
-    if coarse is not None:
-        pad = np.pad(single_channel(coarse, "coarse map"), 1, mode="edge")
-        gmag = (np.abs(pad[1:-1, 2:] - pad[1:-1, :-2]) + np.abs(pad[2:, 1:-1] - pad[:-2, 1:-1])) / 2.0
-    out = np.zeros((h, w))
+    gx, gy = gradient_magnitudes(single_channel(coarse, "coarse map"))
     ys, xs = np.nonzero(mask)
-
-    # window radius per measurement: the neighbour count of every clipped
-    # window comes from one integral image, smallest sufficient radius wins
-    integral = np.zeros((h + 1, w + 1), dtype=np.int64)
-    integral[1:, 1:] = mask.astype(np.int64).cumsum(axis=0).cumsum(axis=1)
-    radius = np.full(ys.size, max_radius)
-    found = np.zeros(ys.size, dtype=np.int64)
-    for r in range(max_radius, 0, -1):
-        y0, y1 = np.maximum(ys - r, 0), np.minimum(ys + r + 1, h)
-        x0, x1 = np.maximum(xs - r, 0), np.minimum(xs + r + 1, w)
-        c = integral[y1, x1] - integral[y0, x1] - integral[y1, x0] + integral[y0, x0] - 1
-        stop = (c >= min_neighbors) | (r == max_radius)
-        radius[stop] = r
-        found[stop] = c[stop]
-    isolated = found == 0
-    out[ys[isolated], xs[isolated]] = 1.0
-
-    # best-match score: a running minimum over the window offsets, ring by
-    # ring; sorted by radius, the measurements whose window reaches a ring
-    # are a prefix
-    order = np.argsort(-radius[~isolated], kind="stable")
-    ys, xs, radius = ys[~isolated][order], xs[~isolated][order], radius[~isolated][order]
-    padded_mask = np.pad(mask, max_radius).ravel()
-    padded_values = np.pad(values, max_radius).ravel()
-    stride = w + 2 * max_radius
-    centre = (ys + max_radius) * stride + xs + max_radius
     own = values[ys, xs]
-    grad_slack = GRADIENT_SLACK * gmag[ys, xs]
+    grad_slack = GRADIENT_SLACK * (gx + gy)[ys, xs]
+
+    # the walk reads the maps zero-padded by MAX_RADIUS, flattened, so every
+    # ring offset is one index shift and a padding pixel is no neighbour
+    padded_mask = np.pad(mask == 1.0, MAX_RADIUS).ravel()
+    padded_values = np.pad(values, MAX_RADIUS).ravel()
+    stride = values.shape[1] + 2 * MAX_RADIUS
+    centre = (ys + MAX_RADIUS) * stride + xs + MAX_RADIUS
     score = np.full(ys.size, np.inf)
-    for ring in range(1, max_radius + 1):
-        k = np.count_nonzero(radius >= ring)
+    found = np.zeros(ys.size, dtype=np.int64)
+    walking = np.arange(ys.size)
+    for ring in range(1, MAX_RADIUS + 1):
+        at = centre[walking]
         for dy in range(-ring, ring + 1):
-            for dx in range(-ring, ring + 1):
-                if max(abs(dy), abs(dx)) != ring:
-                    continue
-                nb = centre[:k] + (dy * stride + dx)
-                hit = np.flatnonzero(padded_mask[nb] == 1.0)
-                slack = AGREEMENT_SLACK + grad_slack[hit] * np.sqrt(dy**2.0 + dx**2.0)
-                term = np.abs(padded_values[nb[hit]] - own[hit]) - slack
-                score[hit] = np.minimum(score[hit], term)
-    out[ys, xs] = np.exp(-np.maximum(score, 0.0) / cfg.gamma)
+            for dx in range(-ring, ring + 1) if abs(dy) == ring else (-ring, ring):
+                nb = at + (dy * stride + dx)
+                hit = np.flatnonzero(padded_mask[nb])
+                j = walking[hit]
+                slack = AGREEMENT_SLACK + grad_slack[j] * np.sqrt(dy**2.0 + dx**2.0)
+                term = np.abs(padded_values[nb[hit]] - own[j]) - slack
+                score[j] = np.minimum(score[j], term)
+                found[j] += 1
+        walking = walking[found[walking] < MIN_NEIGHBORS]
+
+    out = np.zeros(values.shape)
+    out[ys, xs] = np.where(found == 0, 1.0, np.exp(-np.maximum(score, 0.0) / cfg.gamma))
     return Grid(out)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidAffinity, InvalidConfig, ShapeMismatch
-from .grid import Grid, binary_mask, check_same_shape, count, single_channel
+from .grid import Grid, binary_mask, check_same_shape, count, real_array, single_channel
 
 
 def check_kernel_size(kernel_size) -> int:
@@ -48,7 +48,7 @@ class AffinityStencilField:
 
     def __init__(self, kernel_size: int, raw):
         n = check_kernel_size(kernel_size) ** 2 - 1
-        arr = np.asarray(raw, dtype=np.float64)
+        arr = real_array(raw, "stencil", InvalidAffinity)
         if arr.ndim != 3 or arr.shape[2] != n:
             raise InvalidAffinity(f"expected stencil shape (h, w, {n}), got {arr.shape}")
         self.kernel_size = kernel_size
@@ -80,11 +80,9 @@ def normalize_stencil(raw) -> NormalizedStencil:
     absolute sum overflows cannot be normalised either and raises
     InvalidAffinity.
     """
-    arr = np.asarray(raw, dtype=np.float64)
+    arr = real_array(raw, "stencil", InvalidAffinity)
     if arr.ndim == 0 or arr.shape[-1] == 0:
         raise InvalidAffinity("empty stencil")
-    if not np.isfinite(arr).all():
-        raise InvalidAffinity("stencil contains NaN or Inf")
     with np.errstate(over="ignore"):
         denom = np.abs(arr).sum(axis=-1, keepdims=True)
     if not np.isfinite(denom).all():

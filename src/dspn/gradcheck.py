@@ -26,7 +26,7 @@ from .deformable import (
     refine_forward_batched,
 )
 from .errors import Diverged, DspnError, InvalidConfig, InvalidState, NonFiniteLoss, ShapeMismatch
-from .grid import Grid, count, edge_pad, fractions, position_gradient, real, single_channel
+from .grid import Grid, count, edge_pad, fractions, position_gradient, real, real_array, single_channel
 from .metrics import LossWeights, valid_gt
 from .synth import build_features
 
@@ -103,7 +103,10 @@ def dspn_backward(grad_out, state: RefineState, detach_weights: bool = False) ->
     if len(state.inputs) != state.iters:
         raise InvalidState("forward state was built without per-step records")
     aff = state.affinity
-    g = np.asarray(grad_out, dtype=np.float64)
+    g = real_array(grad_out, "grad_out")
+    shape = aff.w_nb.shape[:3]
+    if g.shape not in (shape, shape[1:]):
+        raise ShapeMismatch(f"grad_out must have shape {shape[1:]} or {shape}, got {g.shape}")
     squeeze = g.ndim == 2
     if squeeze:
         g = g[np.newaxis]
@@ -199,7 +202,7 @@ def make_gradcheck_instance(
     kernel_size: int = 3,
     iters: int = 2,
 ) -> GradcheckInstance:
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(count(seed, "seed"))
     n = kernel_size * kernel_size - 1
     d0 = Grid(rng.uniform(0.0, 1.0, (height, width)))
     ds = Grid(rng.uniform(0.0, 1.0, (height, width)))

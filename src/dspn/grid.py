@@ -30,20 +30,19 @@ class Grid:
     """Dense scalar/vector field over a pixel grid.
 
     Wraps a ``(height, width, channels)`` float64 array. A 2-D array is
-    accepted and treated as single-channel. Values must be finite; a raw
-    sensor grid encodes "missing" as 0, which is still finite.
+    accepted and treated as single-channel. Values must be finite reals
+    (:func:`real_array`); a raw sensor grid encodes "missing" as 0, which is
+    still finite.
     """
 
     __slots__ = ("data",)
 
     def __init__(self, data):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = real_array(data, "grid", InvalidGrid)
         if arr.ndim == 2:
             arr = arr[:, :, np.newaxis]
         if arr.ndim != 3 or arr.size == 0:
             raise InvalidGrid(f"expected a non-empty (height, width[, channels]) array, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise InvalidGrid("grid contains NaN or Inf")
         self.data = arr
 
     @property
@@ -59,8 +58,9 @@ class Grid:
         return self.data.shape[2]
 
     def channel(self, c: int = 0) -> np.ndarray:
-        """2-D view of one channel."""
-        if not 0 <= c < self.channels:
+        """2-D view of one channel; ``c`` is a :func:`count`."""
+        c = count(c, "channel")
+        if c >= self.channels:
             raise InvalidGrid(f"channel {c} out of range for {self.channels}-channel grid")
         return self.data[:, :, c]
 
@@ -122,13 +122,22 @@ def real(value, name: str) -> float:
     raise InvalidConfig(f"{name} must be a finite real, got {value!r}")
 
 
-def real_array(value, name: str) -> np.ndarray:
-    """An array of finite reals as float64: the rule for parameter arrays
-    (offsets, embeddings, estimator weights). A map's values follow the same
-    rule in :class:`Grid`, which raises InvalidGrid instead."""
-    arr = np.asarray(value, dtype=np.float64)
+def real_array(value, name: str, error: type = InvalidConfig) -> np.ndarray:
+    """An array of finite reals as float64, not copied if it is one: the
+    rule for parameter arrays (offsets, embeddings, estimator weights), and
+    for a map's values and a raw stencil, whose owners (:class:`Grid`,
+    ``cspn.normalize_stencil``) pass their own ``error`` class. Booleans,
+    integers and floats pass; text, a ragged nesting, complex numbers,
+    other objects, NaN and Inf raise ``error``."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        raise error(f"{name} is not a rectangular array of numbers") from None
+    if arr.dtype.kind not in "biuf":
+        raise error(f"{name} must hold real numbers, got {arr.dtype} values")
+    arr = arr.astype(np.float64, copy=False)
     if not np.isfinite(arr).all():
-        raise InvalidConfig(f"{name} contains NaN or Inf")
+        raise error(f"{name} contains NaN or Inf")
     return arr
 
 
@@ -178,6 +187,15 @@ def sample_positions(points):
     if not np.isfinite(pos).all():
         raise InvalidPosition(f"sampling positions must be finite, got {points!r}")
     return pos[:, 0], pos[:, 1]
+
+
+def gradient_magnitudes(values: np.ndarray):
+    """(|d/dx|, |d/dy|) of an (h, w) map: halved central differences with
+    border-clamped reads, the slope behind the features and the confidence
+    slack."""
+    padded = np.pad(values, 1, mode="edge")
+    return (np.abs(padded[1:-1, 2:] - padded[1:-1, :-2]) / 2.0,
+            np.abs(padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0)
 
 
 def edge_pad(values: np.ndarray) -> np.ndarray:

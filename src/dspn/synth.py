@@ -17,7 +17,7 @@ import numpy as np
 
 from .confidence import ConfidenceConfig, heuristic_confidence
 from .errors import EmptySparse, InvalidConfig, InvalidGrid
-from .grid import Grid, binary_mask, check_same_shape, count, one_of, real, single_channel
+from .grid import Grid, binary_mask, check_same_shape, count, gradient_magnitudes, one_of, real, single_channel
 
 SCENE_KINDS = ("plane", "step", "slope", "sphere-cap", "composite")
 
@@ -124,7 +124,7 @@ def _composite(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
 
 def gen_scene(spec: SceneSpec, seed: int) -> Grid:
     """Dense ground-truth depth for a scene spec; bit-identical per seed."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(count(seed, "scene seed"))
     if spec.kind == "plane":
         depth = np.full((spec.height, spec.width), 0.5 * (spec.depth_min + spec.depth_max))
     elif spec.kind == "slope":
@@ -150,7 +150,7 @@ def sample_sparse(dstar: Grid, spec: SparseSpec, seed: int):
     All random fields are drawn full-grid in a fixed order, so the mask does
     not depend on the noise settings.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(count(seed, "sparse seed"))
     h, w = dstar.height, dstar.width
     keep = rng.random((h, w)) < spec.density
     base_noise = rng.standard_normal((h, w))
@@ -272,9 +272,7 @@ def build_features(d0: Grid, m: Grid, feature_channels: int) -> Grid:
     h, w = depth.shape
     lo, hi = depth.min(), depth.max()
     norm = np.full((h, w), 0.5) if hi == lo else (depth - lo) / (hi - lo)
-    padded = np.pad(depth, 1, mode="edge")
-    gx = np.abs(padded[1:-1, 2:] - padded[1:-1, :-2]) / 2.0
-    gy = np.abs(padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0
+    gx, gy = gradient_magnitudes(depth)
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
     base = np.stack([norm, gx, gy, single_channel(m, "mask"), xs / w, ys / h], axis=-1)
     reps = -(-feature_channels // base.shape[2])
@@ -312,7 +310,7 @@ def build_scene(
             raise InvalidGrid(f"{name} holds a negative depth ({g.data.min():g}); 0 marks a missing pixel")
     check_same_shape(ground_truth=dstar, sparse_map=ds)
     d0 = coarse_predict(ds, m)
-    conf = heuristic_confidence(ds, m, conf_cfg or ConfidenceConfig(), coarse=d0)
+    conf = heuristic_confidence(ds, m, conf_cfg or ConfidenceConfig(), d0)
     return Scene(dstar=dstar, ds=ds, m=m, d0=d0, conf=conf)
 
 
@@ -328,14 +326,15 @@ def prepare_scene(
     return build_scene(dstar, ds, m, conf_cfg)
 
 
-def suite_seeds(count: int, base_seed: int = 0) -> list:
+def suite_seeds(num_scenes: int, base_seed: int = 0) -> list:
     """Seed scheme for a scene suite: scene i takes a (scene, sparse) seed
     pair derived from (base_seed, i) for the geometry and (base_seed, i, 1)
     for the sampling."""
+    base_seed = count(base_seed, "base seed")
     return [
         (
             int(np.random.SeedSequence([base_seed, i]).generate_state(1)[0]),
             int(np.random.SeedSequence([base_seed, i, 1]).generate_state(1)[0]),
         )
-        for i in range(count)
+        for i in range(count(num_scenes, "scene count"))
     ]

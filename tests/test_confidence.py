@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dspn import ConfidenceConfig, Grid, confidence_target, hard_replace, heuristic_confidence, soft_replace
+from dspn import ConfidenceConfig, Grid, confidence, confidence_target, hard_replace, heuristic_confidence, soft_replace
 from dspn.errors import InvalidConfidence, InvalidConfig, InvalidMask, ShapeMismatch
 
 from oracles import heuristic_confidence_ref, soft_replace_ref
@@ -110,7 +110,7 @@ class TestHeuristic:
             mask[y, x] = 1.0
         vals[4, 4] = 9.0  # outlier among 5.0 readings
         mask[4, 4] = 1.0
-        out = heuristic_confidence(Grid(vals), Grid(mask), ConfidenceConfig(0.1)).channel(0)
+        out = heuristic_confidence(Grid(vals), Grid(mask), ConfidenceConfig(0.1), Grid.zeros(9, 9)).channel(0)
         assert out[4, 4] < 0.01
         assert out[1, 1] > 0.9
         assert np.all(out[mask == 0.0] == 0.0)
@@ -120,7 +120,7 @@ class TestHeuristic:
         vals = rng.uniform(1.0, 10.0, (16, 16))
         mask = (rng.random((16, 16)) < 0.2).astype(np.float64)
         ds = Grid(np.where(mask == 1.0, vals, 0.0))
-        out = heuristic_confidence(ds, Grid(mask), ConfidenceConfig(0.1)).channel(0)
+        out = heuristic_confidence(ds, Grid(mask), ConfidenceConfig(0.1), Grid.zeros(16, 16)).channel(0)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_isolated_measurement_keeps_full_confidence(self):
@@ -128,16 +128,16 @@ class TestHeuristic:
         mask = np.zeros((8, 8))
         vals[3, 3] = 2.0
         mask[3, 3] = 1.0
-        out = heuristic_confidence(Grid(vals), Grid(mask), ConfidenceConfig(0.1)).channel(0)
+        out = heuristic_confidence(Grid(vals), Grid(mask), ConfidenceConfig(0.1), Grid.zeros(8, 8)).channel(0)
         assert out[3, 3] == 1.0
 
     def test_mismatched_shapes_rejected(self):
         g = Grid.full(6, 6, 1.0)
         with pytest.raises(ShapeMismatch):
-            heuristic_confidence(g, Grid.full(5, 6, 1.0), ConfidenceConfig(0.1))
+            heuristic_confidence(g, Grid.full(5, 6, 1.0), ConfidenceConfig(0.1), g)
         for coarse in (Grid.full(4, 4, 2.0), Grid.full(8, 8, 2.0)):
             with pytest.raises(ShapeMismatch):
-                heuristic_confidence(g, g, ConfidenceConfig(0.1), coarse=coarse)
+                heuristic_confidence(g, g, ConfidenceConfig(0.1), coarse)
 
 
 def _sparse(rng, h, w, density):
@@ -146,12 +146,18 @@ def _sparse(rng, h, w, density):
     return vals, mask
 
 
-def _assert_matches_ref(vals, mask, gamma=0.1, coarse=None, **kw):
-    out = heuristic_confidence(
-        Grid(vals), Grid(mask), ConfidenceConfig(gamma),
-        coarse=None if coarse is None else Grid(coarse), **kw,
-    ).channel(0)
-    ref = heuristic_confidence_ref(vals, mask, gamma, coarse=coarse, **kw)
+def _assert_matches_ref(vals, mask, gamma=0.1, coarse=None, min_neighbors=3, max_radius=8):
+    """The walk under the given constants equals the oracle bit for bit;
+    no coarse map means a flat one, whose gradient slack is 0."""
+    if coarse is None:
+        coarse = np.full(vals.shape, 4.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(confidence, "MIN_NEIGHBORS", min_neighbors)
+        patch.setattr(confidence, "MAX_RADIUS", max_radius)
+        out = heuristic_confidence(Grid(vals), Grid(mask), ConfidenceConfig(gamma), Grid(coarse)).channel(0)
+    ref = heuristic_confidence_ref(
+        vals, mask, gamma, coarse=coarse, min_neighbors=min_neighbors, max_radius=max_radius
+    )
     assert np.array_equal(out, ref)
     return out
 
@@ -216,18 +222,13 @@ class TestHeuristicOracle:
         density=st.floats(0.05, 1.0),
         seed=st.integers(0, 2**32 - 1),
         min_neighbors=st.integers(0, 4),
-        max_radius=st.integers(0, 4),
+        max_radius=st.integers(1, 4),
         with_coarse=st.booleans(),
     )
     def test_property_matches_ref(self, h, w, density, seed, min_neighbors, max_radius, with_coarse):
         rng = np.random.default_rng(seed)
         vals, mask = _sparse(rng, h, w, density)
         coarse = rng.uniform(1.0, 10.0, (h, w)) if with_coarse else None
-        if max_radius == 0:
-            # a window of radius 0 holds no neighbour: rejected, not scored 1
-            with pytest.raises(InvalidConfig):
-                heuristic_confidence(Grid(vals), Grid(mask), ConfidenceConfig(), max_radius=0)
-            return
         _assert_matches_ref(
             vals, mask, coarse=coarse, min_neighbors=min_neighbors, max_radius=max_radius
         )

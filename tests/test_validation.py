@@ -1,14 +1,16 @@
 """The operand contract of the public operators: one row per (operator,
 malformed operand, expected error class).
 
-Every row is an input that each rule in ``dspn.grid`` rejects: a count that
-is not a whole number (a bool is none) or lies below its floor, a real
-setting that is not a finite real, a parameter array with a NaN or an Inf,
-a name outside its choices, a pixel that
-is not an integer pair, a sampling position that is not a pair of reals,
-and a map with more than one channel where an operator reads one. The rest
-are rules of their own operators: a fit needs scenes, a stencil a finite
-absolute sum, and a score or a fit ground truth.
+Every row is an input that each rule in ``dspn.grid`` rejects: a count (a
+seed and a channel index are counts too) that is not a whole number (a bool
+is none) or lies below its floor, a real setting that is not a finite real,
+an array (a map, a parameter array, a stencil) that is not a rectangular
+array of finite reals, a name outside its choices, a pixel that is not an
+integer pair, a sampling position that is not a pair of reals, and a map
+with more than one channel where an operator reads one. The rest are rules
+of their own operators: a fit needs scenes, a stencil a finite absolute
+sum, an upstream gradient the shape of its refine pass, and a score or a fit
+ground truth.
 """
 
 import numpy as np
@@ -31,10 +33,12 @@ from dspn import (
     cspn_refine,
     cspn_step,
     deformed_neighborhood,
+    dspn_backward,
     dspn_refine,
     dspn_step,
     eval_metrics,
     finite_diff_grad,
+    gen_scene,
     hard_replace,
     heuristic_confidence,
     neighbor_offsets,
@@ -46,10 +50,12 @@ from dspn import (
 )
 from dspn.cli import RunConfig, TrainConfig, evaluate_suite, refine_scene
 from dspn.confidence import ConfidenceConfig
-from dspn.errors import EmptyGroundTruth, InvalidAffinity, InvalidConfig, InvalidPosition, ShapeMismatch
-from dspn.grid import binary_mask, unit_confidence
+from dspn.deformable import dspn_refine_forward
+from dspn.errors import EmptyGroundTruth, InvalidAffinity, InvalidConfig, InvalidGrid, InvalidPosition, ShapeMismatch
+from dspn.gradcheck import make_gradcheck_instance
+from dspn.grid import binary_mask, real_array, unit_confidence
 from dspn.metrics import LossWeights, valid_gt
-from dspn.synth import build_scene
+from dspn.synth import build_scene, suite_seeds
 
 RNG = np.random.default_rng(18)
 MAP = Grid(RNG.uniform(1.0, 2.0, (5, 5)))
@@ -71,6 +77,7 @@ NAN_OFFSETS = np.where(np.arange(8)[:, np.newaxis] == 5, np.nan, OFFSETS.delta)
 INF_G_PHI = np.where(np.eye(4) == 1.0, np.inf, EMB.g_phi)
 NAN_B2 = {name: getattr(PARAMS.estimator, name) for name in OffsetEstimatorParams.__slots__}
 NAN_B2["b2"] = np.array([0.0, np.nan, 0.0, 0.0])
+STATE = dspn_refine_forward(MAP, MAP, MASK, MASK, FEATURES, OFFSETS, EMB, 1)[1]
 
 
 def _fit(scenes=(SCENE,), **kwargs):
@@ -102,16 +109,6 @@ CONTRACT = [
     ("OffsetEstimatorParams.init-float-hidden", lambda: OffsetEstimatorParams.init(3, 4.0, 3), InvalidConfig),
     ("build_features-float-channels", lambda: build_features(MAP, MASK, 2.5), InvalidConfig),
     ("build_features-zero-channels", lambda: build_features(MAP, MASK, 0), InvalidConfig),
-    ("heuristic_confidence-float-radius",
-     lambda: heuristic_confidence(MAP, MASK, ConfidenceConfig(), max_radius=2.5), InvalidConfig),
-    ("heuristic_confidence-zero-radius",
-     lambda: heuristic_confidence(MAP, MASK, ConfidenceConfig(), max_radius=0), InvalidConfig),
-    ("heuristic_confidence-negative-radius",
-     lambda: heuristic_confidence(MAP, MASK, ConfidenceConfig(), max_radius=-1), InvalidConfig),
-    ("heuristic_confidence-float-neighbours",
-     lambda: heuristic_confidence(MAP, MASK, ConfidenceConfig(), min_neighbors=1.5), InvalidConfig),
-    ("heuristic_confidence-negative-neighbours",
-     lambda: heuristic_confidence(MAP, MASK, ConfidenceConfig(), min_neighbors=-1), InvalidConfig),
     ("Grid.zeros-float-width", lambda: Grid.zeros(4.5, 4), InvalidConfig),
     ("Grid.zeros-zero-width", lambda: Grid.zeros(0, 4), InvalidConfig),
     ("Grid.zeros-negative-height", lambda: Grid.zeros(4, -1), InvalidConfig),
@@ -124,6 +121,27 @@ CONTRACT = [
     ("OffsetField.zeros-bool-width", lambda: OffsetField.zeros(True, 4), InvalidConfig),
     ("Grid.full-bool-channels", lambda: Grid.full(4, 4, 1.0, True), InvalidConfig),
     ("SceneSpec-float-width", lambda: SceneSpec(width=8.5), InvalidConfig),
+    # a seed is a count
+    ("gen_scene-negative-seed", lambda: gen_scene(SceneSpec(), -1), InvalidConfig),
+    ("gen_scene-float-seed", lambda: gen_scene(SceneSpec(), 1.5), InvalidConfig),
+    ("sample_sparse-negative-seed", lambda: sample_sparse(MAP, SparseSpec(), -1), InvalidConfig),
+    ("sample_sparse-float-seed", lambda: sample_sparse(MAP, SparseSpec(), 1.5), InvalidConfig),
+    ("prepare_scene-negative-seed", lambda: prepare_scene(SceneSpec(), SparseSpec(), -1, 0), InvalidConfig),
+    ("prepare_scene-float-sparse-seed", lambda: prepare_scene(SceneSpec(), SparseSpec(), 0, 1.5), InvalidConfig),
+    ("suite_seeds-negative-base-seed", lambda: suite_seeds(2, -1), InvalidConfig),
+    ("suite_seeds-float-base-seed", lambda: suite_seeds(2, 1.5), InvalidConfig),
+    ("suite_seeds-float-count", lambda: suite_seeds(1.5), InvalidConfig),
+    ("EmbeddingParams.init-negative-seed", lambda: EmbeddingParams.init(4, 4, seed=-1), InvalidConfig),
+    ("EmbeddingParams.init-float-seed", lambda: EmbeddingParams.init(4, 4, seed=1.5), InvalidConfig),
+    ("OffsetEstimatorParams.init-negative-seed", lambda: OffsetEstimatorParams.init(4, 4, 3, seed=-1), InvalidConfig),
+    ("OffsetEstimatorParams.init-float-seed", lambda: OffsetEstimatorParams.init(4, 4, 3, seed=1.5), InvalidConfig),
+    ("make_gradcheck_instance-negative-seed", lambda: make_gradcheck_instance(seed=-1), InvalidConfig),
+    ("make_gradcheck_instance-float-seed", lambda: make_gradcheck_instance(seed=1.5), InvalidConfig),
+    # a channel index is a count
+    ("Grid.channel-float-index", lambda: TWO.channel(1.5), InvalidConfig),
+    ("Grid.channel-bool-index", lambda: TWO.channel(True), InvalidConfig),
+    ("Grid.channel-negative-index", lambda: TWO.channel(-1), InvalidConfig),
+    ("bilinear_sample-float-channel", lambda: bilinear_sample(MAP, (1, 1), c=0.5), InvalidConfig),
     # a real setting is a finite real
     ("TrainConfig-nan-lr", lambda: TrainConfig(lr=float("nan")), InvalidConfig),
     ("TrainConfig-inf-lr", lambda: TrainConfig(lr=float("inf")), InvalidConfig),
@@ -141,6 +159,23 @@ CONTRACT = [
     ("OffsetField-nan-offsets", lambda: OffsetField(3, NAN_OFFSETS), InvalidConfig),
     ("EmbeddingParams-inf-g-phi", lambda: EmbeddingParams(EMB.g_theta, INF_G_PHI), InvalidConfig),
     ("OffsetEstimatorParams-nan-b2", lambda: OffsetEstimatorParams(**NAN_B2), InvalidConfig),
+    # an array is a rectangular array of reals, else its owner's error
+    ("Grid-text", lambda: Grid([["a"]]), InvalidGrid),
+    ("Grid-ragged", lambda: Grid([[1.0, 2.0], [3.0]]), InvalidGrid),
+    ("Grid-complex", lambda: Grid(np.full((2, 2), 1.0 + 2.0j)), InvalidGrid),
+    ("Grid-objects", lambda: Grid([[1.0, None]]), InvalidGrid),
+    ("real_array-complex", lambda: real_array(np.array([1.0 + 0.0j]), "x"), InvalidConfig),
+    ("OffsetField-text-offsets", lambda: OffsetField(3, "a"), InvalidConfig),
+    ("EmbeddingParams-text", lambda: EmbeddingParams("a", "b"), InvalidConfig),
+    ("EmbeddingParams-ragged", lambda: EmbeddingParams([[1.0], [1.0, 2.0]], EMB.g_phi), InvalidConfig),
+    ("AffinityStencilField-text", lambda: AffinityStencilField(3, [["a"]]), InvalidAffinity),
+    ("AffinityStencilField-complex",
+     lambda: AffinityStencilField(3, np.ones((5, 5, 8), dtype=complex)), InvalidAffinity),
+    ("normalize_stencil-text", lambda: normalize_stencil("a"), InvalidAffinity),
+    ("normalize_stencil-complex", lambda: normalize_stencil(np.ones(8) * 1j), InvalidAffinity),
+    ("dspn_backward-text-upstream", lambda: dspn_backward("a", STATE), InvalidConfig),
+    ("dspn_backward-complex-upstream", lambda: dspn_backward(np.zeros((5, 5), dtype=complex), STATE), InvalidConfig),
+    ("dspn_backward-nan-upstream", lambda: dspn_backward(np.full((5, 5), np.nan), STATE), InvalidConfig),
     # a choice is one of its names
     ("refine_scene-unknown-replacement", lambda: refine_scene(SCENE, "dspn", 3, 3, PARAMS, "foo"), InvalidConfig),
     ("refine_scene-unknown-method", lambda: refine_scene(SCENE, "foo", 0, 3), InvalidConfig),
@@ -174,7 +209,7 @@ CONTRACT = [
     ("sample_sparse-two-channels", lambda: sample_sparse(TWO, SparseSpec(), 0), ShapeMismatch),
     ("coarse_predict-two-channels", lambda: coarse_predict(TWO, Grid(np.ones((5, 5, 2)))), ShapeMismatch),
     ("heuristic_confidence-two-channels",
-     lambda: heuristic_confidence(TWO, Grid(np.ones((5, 5, 2))), ConfidenceConfig()), ShapeMismatch),
+     lambda: heuristic_confidence(TWO, Grid(np.ones((5, 5, 2))), ConfidenceConfig(), TWO), ShapeMismatch),
     ("confidence_target-two-channels",
      lambda: confidence_target(TWO, TWO, Grid(np.ones((5, 5, 2))), ConfidenceConfig()), ShapeMismatch),
     ("build_features-two-channels", lambda: build_features(TWO, Grid(np.ones((5, 5, 2))), 6), ShapeMismatch),
@@ -186,6 +221,8 @@ CONTRACT = [
      lambda: FitParams(EmbeddingParams.init(6, 4, seed=0), OffsetEstimatorParams.init(6, 4, 3, seed=0)),
      ShapeMismatch),
     ("build_features-mask-of-another-shape", lambda: build_features(MAP, Grid(np.ones((4, 5))), 6), ShapeMismatch),
+    ("dspn_backward-upstream-of-another-shape", lambda: dspn_backward(np.zeros((4, 5)), STATE), ShapeMismatch),
+    ("dspn_backward-upstream-of-another-batch", lambda: dspn_backward(np.zeros((2, 5, 5)), STATE), ShapeMismatch),
 ]
 
 
